@@ -13,8 +13,11 @@ concurrent stdlib HTTP clients in two phases over the same query mix:
 
 Requests-per-second and latency percentiles for both phases land in
 ``BENCH_api.json`` at the repo root.  Acceptance (full mode): warm
-throughput >= 3x cold.  Set ``REPRO_PERF_QUICK=1`` for the reduced CI
-grid (ratio still reported, only sanity-asserted).
+throughput >= 3x cold.  Both modes gate the warm p50 under 20 ms: a
+keep-alive reply split across two TCP segments with Nagle on waits
+~40 ms for the client's delayed ACK, and this catches that stall
+coming back.  Set ``REPRO_PERF_QUICK=1`` for the reduced CI grid
+(ratio still reported, only sanity-asserted).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ TOPOLOGY = (
 FRACTIONS = [0.25, 0.5, 0.75, 1.0]
 CLIENTS = 4
 REQUESTS_PER_CLIENT = 8 if QUICK else 32
+WARM_P50_LIMIT_MS = 20.0
 
 
 def _percentile(values, q):
@@ -66,7 +70,7 @@ def _drive(server, warm: bool):
                     "warm": warm,
                 }
                 t0 = time.perf_counter()
-                resp = client.post("/throughput", body)
+                resp = client.post("/v1/throughput", body)
                 elapsed = time.perf_counter() - t0
                 with lock:
                     latencies.append(elapsed)
@@ -104,7 +108,7 @@ def test_api_load_warm_vs_cold():
         # Prime once so the warm phase measures steady state, not the
         # first-touch build (the cold phase rebuilds per request anyway).
         HttpClient(server.host, server.port, timeout=300.0).post(
-            "/throughput", {"topology": TOPOLOGY, "fractions": FRACTIONS}
+            "/v1/throughput", {"topology": TOPOLOGY, "fractions": FRACTIONS}
         ).raise_for_status()
 
         cold = _drive(server, warm=False)
@@ -138,6 +142,7 @@ def test_api_load_warm_vs_cold():
     # The warm phase must have actually exercised the warm layers.
     assert cache_stats["results"]["hits"] > 0
     assert cache_stats["topologies"]["entries"] == 1
+    assert warm["p50_ms"] < WARM_P50_LIMIT_MS, payload
     if QUICK:
         assert ratio > 1.0, payload
     else:

@@ -17,6 +17,10 @@ Design notes:
   handling, not a thread-pool size: ThreadingHTTPServer spawns a thread
   per connection regardless, and the semaphore caps how many of them
   do library work at once (the rest queue briefly).
+* **Nagle off.**  Headers and body go out as two sends; with Nagle on,
+  the body would wait for the client's delayed ACK of the headers
+  (~40 ms on every keep-alive reply).  ``TCP_NODELAY`` on each accepted
+  socket sends the body without waiting.
 * **Request ids.**  An ``X-Request-Id`` header is honoured (trimmed to
   64 chars) or generated, echoed on the response, and recorded on the
   request's obs span/event, so a client can line its calls up with
@@ -52,6 +56,10 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive with a protocol version proxies expect.
     protocol_version = "HTTP/1.1"
     server_version = "repro-api"
+    # Nagle off on the accepted socket: _respond writes headers, then
+    # body, and the body must not wait for the client's delayed ACK.
+    # Also covers the stdlib's own send_error replies (400/414/501).
+    disable_nagle_algorithm = True
 
     # Set by ApiServer on the handler class.
     service: ApiService = None  # type: ignore[assignment]
