@@ -14,7 +14,11 @@ Kernels covered (ISSUE acceptance: >= 3x on at least two):
 * K-shortest-path enumeration across a demand set — fresh Yen's per
   request vs. the memoizing cache over repeated passes.
 * Max-min fair-share recompute at >= 500 flows — dict-of-dicts
-  progressive filling vs. the CSR water-fill.
+  progressive filling vs. the numpy water-fill over (arc, flow,
+  multiplicity) triplets.
+* Fair-share churn at the size the flow simulator serves (~11 active
+  flows over ~100 arcs) — the reference on each snapshot vs.
+  :class:`~repro.flowsim.FairShareState` add/remove + ``rates()``.
 * DES event loop throughput (events/sec) — the peek-then-pop reference
   loop vs. the pop-then-reschedule loop with hoisted heap ops and
   same-timestamp batching (``Engine.run`` vs ``Engine.run_reference``).
@@ -35,6 +39,7 @@ import time
 
 
 from repro.flowsim.fairshare import (
+    FairShareState,
     max_min_allocation,
     max_min_allocation_reference,
 )
@@ -185,8 +190,7 @@ def test_fairshare_recompute_500_flows():
 
     ref = max_min_allocation_reference(flow_paths, capacities)
     vec = max_min_allocation(flow_paths, capacities)
-    assert set(ref) == set(vec)
-    assert all(abs(ref[f] - vec[f]) < 1e-9 for f in ref)
+    assert ref == vec
 
     speedup = _record(
         "fairshare_recompute",
@@ -195,6 +199,69 @@ def test_fairshare_recompute_500_flows():
         {"flows": n_flows, "arcs": len(arcs)},
     )
     assert speedup > 1.0
+
+
+def test_fairshare_state_small():
+    """Per-event recompute at the flow simulator's typical concurrency.
+
+    A warm ``/v1`` flow-engine simulate recomputes ~270 times with a
+    median of ~11 active flows, where fixed per-call cost dominates.
+    Each event adds or removes one flow and asks for all rates.
+    """
+    topo = _topo(20, 5, seed=4)
+    rng = random.Random(19)
+    arcs = []
+    capacities = {}
+    for u, v in topo.graph.edges():
+        for arc in [(u, v), (v, u)]:
+            arcs.append(arc)
+            capacities[arc] = rng.choice([1.0, 2.0, 4.0])
+    target = 11
+    events = []  # (fid, path) arrival or (fid, None) departure
+    live = []
+    for fid in range(150 if QUICK else 600):
+        if len(live) >= target or (live and rng.random() < 0.3):
+            events.append((live.pop(rng.randrange(len(live))), None))
+        events.append((fid, [rng.choice(arcs) for _ in range(rng.randint(2, 6))]))
+        live.append(fid)
+
+    def reference():
+        snapshot = {}
+        out = []
+        for fid, path in events:
+            if path is None:
+                del snapshot[fid]
+            else:
+                snapshot[fid] = path
+            out.append(max_min_allocation_reference(snapshot, capacities))
+        return out
+
+    def accelerated():
+        state = FairShareState(capacities)
+        out = []
+        for fid, path in events:
+            if path is None:
+                state.remove_flow(fid)
+            else:
+                state.add_flow(fid, path)
+            out.append(state.rates())
+        return out
+
+    assert reference() == accelerated()
+
+    # Interleaved best-of-N, as in the DES loop bench.
+    ref_s = acc_s = float("inf")
+    for _ in range(5):
+        ref_s = min(ref_s, _time(reference, repeats=1))
+        acc_s = min(acc_s, _time(accelerated, repeats=1))
+    speedup = _record(
+        "fairshare_state_small",
+        ref_s,
+        acc_s,
+        {"events": len(events), "active_flows": target, "arcs": len(arcs)},
+        gate=1.0,
+    )
+    assert speedup > 1.0, _RESULTS["fairshare_state_small"]
 
 
 def test_des_event_loop():

@@ -9,14 +9,14 @@ model underlying the flow-level simulator.
 Two implementations are provided:
 
 * :func:`max_min_allocation` — vectorized: the flows' arc traversals
-  form a CSR arc×flow incidence matrix (multiplicities included, so a
-  VLB detour crossing an arc twice consumes double there), and each
-  water-filling round is a handful of numpy operations: one sparse
-  mat-vec for per-arc active multiplicities, a vectorized headroom
-  division, and one transposed mat-vec to freeze flows on saturated
-  arcs.  Rates are bit-identical to the reference (multiplicities are
-  small exact integers, and the per-round increments are applied in the
-  same order).
+  become ``(arc, flow, multiplicity)`` triplets in three numpy arrays
+  (a VLB detour crossing an arc twice consumes double there), and each
+  water-filling round is a handful of numpy operations: one
+  ``np.bincount`` for the per-arc live multiplicities, a vectorized
+  headroom division, and a gather that freezes the flows on saturated
+  arcs and drops their entries.  Rates are bit-identical to the
+  reference (multiplicities are small exact integers, and a frozen
+  flow's rate is the same running sum of per-round increments).
 * :func:`max_min_allocation_reference` — the original dict-of-dicts
   progressive filling, retained as the equivalence oracle for the
   property tests and the baseline of the perf bench.
@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "max_min_allocation",
@@ -110,41 +109,50 @@ def max_min_allocation_reference(
 
 
 def _waterfill(
-    incidence: sp.csr_matrix, caps: np.ndarray, num_flows: int
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+    caps: np.ndarray,
+    num_flows: int,
 ) -> Tuple[np.ndarray, int]:
-    """Vectorized progressive filling over an arc×flow incidence matrix.
+    """Progressive filling over ``(arc, flow, multiplicity)`` triplets.
 
-    ``incidence[a, f]`` is flow f's traversal multiplicity of arc a.
-    Returns the max-min rate per flow column and the number of filling
-    rounds executed (one saturation level per round).
+    Entry ``i`` says flow ``cols[i]`` crosses arc ``rows[i]``
+    ``vals[i]`` times.  Each round sums the live entries per arc with
+    one ``bincount``, raises the water level to the tightest arc's
+    headroom, freezes every flow on a saturated arc at that level and
+    drops its entries, so later rounds touch only live flows.  Returns
+    the max-min rate per flow and the number of filling rounds executed
+    (one saturation level per round).
     """
     rates = np.zeros(num_flows)
     rounds = 0
-    if num_flows == 0 or incidence.shape[0] == 0:
-        return rates, rounds
-    active = np.ones(num_flows)
-    used = np.zeros(incidence.shape[0])
-    transpose = incidence.T.tocsr()
-
-    while active.any():
-        mult = incidence @ active  # exact: small integer multiplicities
+    num_arcs = caps.size
+    used = np.zeros(num_arcs)
+    full = caps - _SATURATION_EPS
+    frozen = np.zeros(num_flows, dtype=bool)
+    # The level is the running sum of the round increments: the same
+    # float additions as raising every live rate each round, so a flow
+    # frozen at round k gets exactly the rate it would have accumulated.
+    level = 0.0
+    while rows.size:
+        # Exact: multiplicities are small integers.
+        mult = np.bincount(rows, weights=vals, minlength=num_arcs)
         contended = mult > 0
-        if not contended.any():
-            break
         rounds += 1
-        inc = (caps[contended] - used[contended]) / mult[contended]
+        inc = (caps - used)[contended] / mult[contended]
         best_inc = max(float(inc.min()), 0.0)
-
-        rates[active > 0] += best_inc
+        level += best_inc
         used += best_inc * mult
 
-        saturated = used >= caps - _SATURATION_EPS
-        newly = (transpose @ saturated.astype(float)) > 0
-        newly &= active > 0
-        if not newly.any():
+        newly = cols[(used >= full)[rows]]
+        if not newly.size:
             break  # all remaining arcs have infinite headroom (defensive)
-        active[newly] = 0.0
-
+        rates[newly] = level
+        frozen[newly] = True
+        live = ~frozen[cols]
+        rows, cols, vals = rows[live], cols[live], vals[live]
+    rates[cols] = level  # flows still live after a defensive break
     return rates, rounds
 
 
@@ -173,7 +181,6 @@ def max_min_allocation(
     caps_list: List[float] = []
     rows: List[int] = []
     cols: List[int] = []
-    vals: List[int] = []
     flow_order: List[Hashable] = []
     for fid, path in flow_paths.items():
         if not path:
@@ -190,16 +197,15 @@ def max_min_allocation(
                 caps_list.append(capacities[arc])
             rows.append(aid)
             cols.append(col)
-            vals.append(1)
 
-    num_flows = len(flow_order)
-    incidence = sp.csr_matrix(
-        (np.asarray(vals, dtype=float), (rows, cols)),
-        shape=(len(caps_list), num_flows),
+    flow_rates, _ = _waterfill(
+        np.asarray(rows, dtype=np.intp),
+        np.asarray(cols, dtype=np.intp),
+        np.ones(len(rows)),
+        np.asarray(caps_list, dtype=float),
+        len(flow_order),
     )
-    flow_rates, _ = _waterfill(incidence, np.asarray(caps_list), num_flows)
-    for col, fid in enumerate(flow_order):
-        rates[fid] = float(flow_rates[col])
+    rates.update(zip(flow_order, flow_rates.tolist()))
     return rates
 
 
@@ -210,9 +216,9 @@ class FairShareState:
     departure; rebuilding the ``{flow: path}`` dict and re-hashing every
     arc tuple per event dominates at high concurrency.  This state
     interns each flow's arcs into integer ids **once** (at
-    :meth:`add_flow`) and keeps the per-flow traversal columns; each
-    :meth:`rates` call assembles the incidence by array concatenation
-    and runs the vectorized water-fill.
+    :meth:`add_flow`) and keeps each flow's ``(arc id, multiplicity)``
+    arrays; each :meth:`rates` call concatenates them into triplets and
+    runs the vectorized water-fill.
 
     Rates are identical to calling :func:`max_min_allocation` on the
     current ``{flow: path}`` snapshot.
@@ -285,14 +291,9 @@ class FairShareState:
             np.arange(num_flows, dtype=np.intp),
             [a.size for a in arcs_per_flow],
         )
-        num_arcs = len(self._caps)
-        incidence = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(num_arcs, num_flows)
-        )
         flow_rates, rounds = _waterfill(
-            incidence, np.asarray(self._caps), num_flows
+            rows, cols, vals, np.asarray(self._caps, dtype=float), num_flows
         )
         self.waterfill_rounds += rounds
-        for col, fid in enumerate(self._flows):
-            rates[fid] = float(flow_rates[col])
+        rates.update(zip(self._flows, flow_rates.tolist()))
         return rates

@@ -212,6 +212,11 @@ class FlowLevelSimulation:
                 af.rate = rates[fid]
 
         def advance(to: float) -> float:
+            # A zero-length step moves no bytes; skipping it also keeps
+            # an infinite-rate (same-ToR, unconstrained) flow from
+            # turning its remaining bytes into inf * 0 = nan.
+            if to == now:
+                return to
             for af in active.values():
                 af.remaining -= af.rate * (to - now) / 8.0
             return to

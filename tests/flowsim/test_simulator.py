@@ -79,6 +79,27 @@ class TestRoutingModes:
         assert stats.records[0].fct == pytest.approx(50_000 * 8 / 1e9)
 
 
+class TestSameTorFlows:
+    def test_simultaneous_infinite_rate_flows_complete(self):
+        # Servers 0 and 1 share ToR 0, so with unconstrained server
+        # links both flows have empty paths and infinite rate.  The
+        # second arrival is a zero-length advance: it must not turn the
+        # first flow's remaining bytes into inf * 0 = nan.
+        from repro import registry
+
+        topo = registry.topology("jellyfish:switches=8,degree=3,servers=2,seed=1")
+        assert topo.server_to_tor()[0] == topo.server_to_tor()[1]
+        flows = [
+            FlowSpec(0, 0, 1, 10_000, 0.001),
+            FlowSpec(1, 1, 0, 10_000, 0.001),
+        ]
+        stats = run_flow_experiment(topo, flows, server_link_rate_bps=None)
+        assert [(r.finished, r.completion_time) for r in stats.records] == [
+            (True, 0.001),
+            (True, 0.001),
+        ]
+
+
 class TestMeasurementWindow:
     def test_window_filtering(self, ft):
         flows = [
