@@ -42,9 +42,11 @@ pointer, and are counted separately in the ``/v1/context`` request
 statistics.
 
 Warm-state semantics: repeated queries naming the same topology spec
-reuse the built topology, its exact-LP :class:`BatchedTopologyContext`
-(the persistent ArcTable), and the process-wide shared path cache;
-byte-identical queries are served from a content-addressed result memo.
+reuse the built topology, its warm solver context (one per topology,
+context kind and solver parameters — the four edge-LP solver names
+share one :class:`~repro.throughput.EdgeLpContext`), and the
+process-wide shared path cache; byte-identical queries are served from
+a content-addressed result memo.
 Any ``POST`` body may set ``"warm": false`` to bypass every warm layer
 and rebuild per request — that is the load bench's cold baseline, and a
 live way to check warm results against a from-scratch evaluation.
@@ -73,13 +75,7 @@ from ..harness import ResultCache, Runner
 from ..harness.execute import execute_spec
 from ..harness.spec import ENGINES, ExperimentSpec, expand_sweep
 from ..perf import PathCache, shared_path_cache
-from ..solvers.base import SolveOutcome, solve_outcome
-from ..solvers.batched import BatchedTopologyContext
-from ..solvers.colgen import ColgenTopologyContext, colgen_solve_outcome
-from ..solvers.incremental import (
-    IncrementalTopologyContext,
-    incremental_solve_outcome,
-)
+from ..solvers import SolveOutcome
 from ..version import SPEC_HASH_VERSION, __version__
 from .errors import ApiError, classify_exception
 from .jobs import JobManager, jobs_schema
@@ -94,7 +90,7 @@ __all__ = [
 ]
 
 #: Service payload-shape identifier, reported in ``/context``.
-SERVICE_SCHEMA = "repro.api/2"
+SERVICE_SCHEMA = "repro.api/3"
 
 #: Canonical mount point; unversioned paths are deprecated shims.
 API_PREFIX = "/v1"
@@ -103,18 +99,6 @@ DEFAULT_MAX_BODY_BYTES = 2 * 1024 * 1024
 DEFAULT_MAX_SWEEP_POINTS = 256
 DEFAULT_MAX_JOB_POINTS = 16384
 DEFAULT_MAX_DESIGN_CANDIDATES = 64
-
-#: Solver names whose exact-LP structure the warm context cache serves.
-_CONTEXT_SOLVERS = ("exact", "highs-exact", "highs-batched")
-
-#: Solver names served by the warm *incremental* context cache (model
-#: structure + simplex bases carried across requests).
-_INCREMENTAL_SOLVERS = ("highs-incremental",)
-
-#: Solver names served by the warm *colgen* context cache (generated
-#: path pools carried across requests).
-_COLGEN_SOLVERS = ("highs-colgen",)
-
 
 def _require(body: Dict[str, Any], key: str) -> Any:
     if key not in body:
@@ -496,13 +480,8 @@ class ApiService:
         fractions = self._fractions(body)
         solver_spec = body.get("solver", "highs-batched")
         solver_name, solver_params = registry.parse_spec(solver_spec, key="name")
-        if solver_name not in registry.SOLVERS:
-            raise ApiError(
-                400,
-                "bad_spec",
-                f"unknown solver {solver_name!r}; valid choices: "
-                + ", ".join(registry.SOLVERS.available()),
-            )
+        # Unknown names and bad parameters fail here as 400 bad_spec.
+        backend = registry.SOLVERS.build(solver_name, **solver_params)
         seed = int(body.get("seed", 0))
         demand = float(body.get("per_server_demand", 1.0))
         failures = body.get("failures")
@@ -519,36 +498,15 @@ class ApiService:
             topo_key = ""
             properties = self._properties(PathCache(topo.graph), topo)
 
-        context: Optional[BatchedTopologyContext] = None
-        incremental: Optional[IncrementalTopologyContext] = None
-        colgen: Optional[ColgenTopologyContext] = None
+        context = None
         context_hit = False
-        uses_incremental = solver_name in _INCREMENTAL_SOLVERS
-        uses_colgen = solver_name in _COLGEN_SOLVERS
-        uses_context = solver_name in _CONTEXT_SOLVERS
-        if uses_incremental:
+        if getattr(backend, "context_kind", None) is not None:
             if warm:
-                incremental, context_hit = self.state.incremental(
-                    topology_spec, topo, failures
+                context, context_hit = self.state.solver_context(
+                    topo_key, topo, backend, solver_params
                 )
             else:
-                incremental = IncrementalTopologyContext(topo)
-        elif uses_colgen:
-            if warm:
-                colgen, context_hit = self.state.colgen(
-                    topology_spec, topo, failures
-                )
-            else:
-                colgen = ColgenTopologyContext(topo)
-        elif uses_context:
-            if warm:
-                context, context_hit = self.state.context(
-                    topology_spec, topo, failures
-                )
-            else:
-                context = BatchedTopologyContext(topo)
-        else:
-            backend = registry.SOLVERS.build(solver_name, **solver_params)
+                context = backend.new_context(topo)
 
         results: List[Dict[str, Any]] = []
         for fraction in fractions:
@@ -570,26 +528,11 @@ class ApiService:
             tm = registry.TRAFFIC.build(
                 "longest_matching", topo, fraction=fraction, seed=seed
             )
-            if uses_incremental:
-                outcome = incremental_solve_outcome(
-                    incremental, tm, demand,
-                    backend_name=solver_name, reuse_structure=warm,
-                )
-            elif uses_colgen:
-                outcome = colgen_solve_outcome(
-                    colgen, tm, demand,
-                    backend_name=solver_name, reuse_pool=warm,
-                )
-            elif uses_context:
-                outcome = solve_outcome(
-                    solver_name, lambda: context.solve(tm, demand)
-                )
-            else:
+            if context is None:
                 outcome = backend.solve(topo, tm, demand)
+            else:
+                outcome = backend.solve_in(context, tm, demand, warm)
             entry = self._outcome_entry(fraction, outcome)
-            if uses_incremental or uses_colgen:
-                entry["warm_started"] = outcome.warm_started
-                entry["basis_reused"] = outcome.basis_reused
             if warm and outcome.ok:
                 self.state.result_put(memo_key, entry)
             results.append({**entry, "cached": False})
@@ -603,9 +546,8 @@ class ApiService:
                 "enabled": warm,
                 "topology": "hit" if topo_hit else "miss",
                 "context": (
-                    ("hit" if context_hit else "miss")
-                    if (uses_context or uses_incremental or uses_colgen)
-                    else None
+                    None if context is None
+                    else "hit" if context_hit else "miss"
                 ),
                 "results_cached": sum(1 for r in results if r["cached"]),
             },
@@ -655,6 +597,8 @@ class ApiService:
             "status": outcome.status.value,
             "iterations": outcome.iterations,
             "solve_time_s": round(outcome.wall_time_s, 6),
+            "warm_started": outcome.warm_started,
+            "basis_reused": outcome.basis_reused,
         }
         if outcome.ok:
             entry["per_server_throughput"] = outcome.result.per_server

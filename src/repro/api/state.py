@@ -7,16 +7,16 @@ structure survives between requests:
 * **built topologies** — constructing a topology (and degrading it under
   a failure scenario) is pure given its spec, so equal specs share one
   immutable instance;
-* **solver contexts** — the exact LP's per-topology structure
-  (:class:`~repro.solvers.batched.BatchedTopologyContext`: ArcTable +
-  component labels) is hoisted once per topology and reused by every
-  subsequent solve, exactly as the harness Runner does for batched
-  sweeps — but across *requests* instead of across sweep points;
-* **incremental solver contexts** — for warm-capable solvers
-  (``highs-incremental``), the assembled LP structures and (with the
-  optional ``highspy`` dependency) live solver instances whose simplex
-  bases carry over, so a repeated query re-solves from the previous
-  basis instead of from scratch;
+* **solver contexts** — one per (topology, context kind, solver
+  parameters): the exact edge LP's
+  :class:`~repro.throughput.EdgeLpContext` (ArcTable, component labels,
+  assembled LP structures and — with the optional ``highspy``
+  dependency — live solver instances whose simplex bases carry over),
+  shared by ``highs-exact`` / ``exact`` / ``highs-batched`` /
+  ``highs-incremental``, and colgen's
+  :class:`~repro.throughput.ColgenTopologyContext` (its path pool), so
+  a repeated query warm-starts off *prior requests* exactly as the
+  harness Runner does across sweep points;
 * **solve results** — throughput queries are deterministic functions of
   their canonical payload, so identical queries are served straight from
   a content-addressed memo (the in-memory analogue of the harness's
@@ -44,9 +44,6 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from .. import obs, registry
-from ..solvers.batched import BatchedTopologyContext
-from ..solvers.colgen import ColgenTopologyContext
-from ..solvers.incremental import IncrementalTopologyContext
 from ..topologies import Topology
 
 __all__ = ["WarmState", "canonical_key"]
@@ -106,24 +103,21 @@ class WarmState:
     """The request handlers' shared caches, thread-safe.
 
     Parameters bound the footprint: topologies and solver contexts hold
-    dense per-topology structure (an ArcTable, component labels), so
-    their LRUs stay small; result memo entries are tiny JSON fragments.
+    dense per-topology structure (an ArcTable, component labels, cached
+    LP structures or path pools), so their LRUs stay small; result memo
+    entries are tiny JSON fragments.
     """
 
     def __init__(
         self,
         max_topologies: int = 32,
-        max_contexts: int = 32,
+        max_contexts: int = 16,
         max_results: int = 4096,
-        max_incremental: int = 8,
-        max_colgen: int = 8,
     ) -> None:
         self._lock = threading.RLock()
         self._topologies = _Lru("topology", max_topologies)
         self._contexts = _Lru("context", max_contexts)
         self._results = _Lru("results", max_results)
-        self._incremental = _Lru("incremental", max_incremental)
-        self._colgen = _Lru("colgen", max_colgen)
         self.started_at = time.time()
 
     # ------------------------------------------------------------------
@@ -169,75 +163,34 @@ class WarmState:
             return self._topologies.put(key, topo), False
 
     # ------------------------------------------------------------------
-    # Exact-LP solver contexts (the persistent ArcTables)
+    # Solver contexts (ArcTables, LP structures, path pools)
     # ------------------------------------------------------------------
-    def context(self, spec: Any, topology: Topology, failures: Any = None
-                ) -> Tuple[BatchedTopologyContext, bool]:
-        """The warm per-topology LP context; returns ``(context, was_hit)``.
+    def solver_context(
+        self, topology_key: str, topology: Topology, backend: Any,
+        params: Dict[str, Any],
+    ) -> Tuple[Any, bool]:
+        """The warm solver context; returns ``(context, was_hit)``.
 
-        Keyed on the topology *spec* (not the graph structure alone)
-        because the ArcTable bakes in per-arc capacities, which the
-        structural content hash deliberately ignores.
+        Keyed on the topology *spec* key (not the graph structure alone,
+        because contexts bake in per-arc capacities), the backend's
+        ``context_kind`` and the solver parameters, so backends that
+        build equal contexts share one.  Contexts guard their own
+        mutable state, so concurrent handlers share one freely.
         """
-        key = self.topology_key(spec, failures)
+        key = canonical_key(
+            {
+                "topology": topology_key,
+                "kind": backend.context_kind,
+                "params": params,
+            }
+        )
         with self._lock:
             context = self._contexts.get(key)
         if context is not None:
             return context, True
-        context = BatchedTopologyContext(topology)
+        context = backend.new_context(topology)
         with self._lock:
             return self._contexts.put(key, context), False
-
-    # ------------------------------------------------------------------
-    # Incremental (warm-started) solver contexts
-    # ------------------------------------------------------------------
-    def incremental(
-        self, spec: Any, topology: Topology, failures: Any = None
-    ) -> Tuple[IncrementalTopologyContext, bool]:
-        """The warm incremental LP context; returns ``(context, was_hit)``.
-
-        Unlike :meth:`context` (a stateless ArcTable hoist), these hold
-        assembled LP structures — and with ``highspy`` installed, live
-        solver instances whose simplex bases carry over — so repeated
-        ``/throughput`` and ``/sweep`` requests against the same spec
-        warm-start off *prior requests*.  Each context guards its own
-        mutable state with an internal lock, so concurrent handlers
-        sharing one context serialize at the solve, not here.  Bounded
-        tighter than the other LRUs: contexts hold dense matrices per
-        cached demand structure.
-        """
-        key = self.topology_key(spec, failures)
-        with self._lock:
-            context = self._incremental.get(key)
-        if context is not None:
-            return context, True
-        context = IncrementalTopologyContext(topology)
-        with self._lock:
-            return self._incremental.put(key, context), False
-
-    # ------------------------------------------------------------------
-    # Column-generation solver contexts (the persistent path pools)
-    # ------------------------------------------------------------------
-    def colgen(
-        self, spec: Any, topology: Topology, failures: Any = None
-    ) -> Tuple[ColgenTopologyContext, bool]:
-        """The warm colgen context; returns ``(context, was_hit)``.
-
-        Holds the per-topology path pool
-        (:class:`~repro.solvers.colgen.ColgenTopologyContext`): columns
-        generated for one request seed the restricted master of the
-        next, so repeated ``/throughput`` queries against the same spec
-        typically converge in a round or two.  Bounded like the
-        incremental LRU — each context holds an ArcTable plus its pool.
-        """
-        key = self.topology_key(spec, failures)
-        with self._lock:
-            context = self._colgen.get(key)
-        if context is not None:
-            return context, True
-        context = ColgenTopologyContext(topology)
-        with self._lock:
-            return self._colgen.put(key, context), False
 
     # ------------------------------------------------------------------
     # Content-addressed result memo
@@ -252,9 +205,14 @@ class WarmState:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """A JSON-ready snapshot for the ``/context`` manifest."""
+        """A JSON-ready snapshot for the ``/context`` manifest.
+
+        Context stats are read after the state lock is released, so a
+        context busy with a long solve never stalls other requests'
+        cache lookups.
+        """
         from ..perf import shared_cache_stats
-        from ..solvers.incremental import warm_start_stats
+        from ..solvers import warm_start_stats
 
         with self._lock:
             warm = {
@@ -262,16 +220,8 @@ class WarmState:
                 "solver_contexts": self._contexts.stats(),
                 "results": self._results.stats(),
             }
-            incremental = self._incremental.stats()
-            incremental["contexts"] = [
-                ctx.stats() for ctx in self._incremental.entries.values()
-            ]
-            colgen = self._colgen.stats()
-            colgen["contexts"] = [
-                ctx.stats() for ctx in self._colgen.entries.values()
-            ]
-        warm["incremental_contexts"] = incremental
-        warm["colgen_contexts"] = colgen
+            contexts = list(self._contexts.entries.values())
+        warm["solver_contexts"]["contexts"] = [ctx.stats() for ctx in contexts]
         warm["path_cache"] = shared_cache_stats()
         warm["warm_start"] = warm_start_stats()
         return warm
@@ -282,5 +232,3 @@ class WarmState:
             self._topologies.entries.clear()
             self._contexts.entries.clear()
             self._results.entries.clear()
-            self._incremental.entries.clear()
-            self._colgen.entries.clear()

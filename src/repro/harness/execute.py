@@ -118,9 +118,9 @@ def _lp_solver_backend(wl: Mapping[str, Any]):
 
     ``k_paths`` parameterizes the paths backends and ``epsilon`` the
     approximation; ``highs-colgen`` takes ``k_paths`` (seed paths per
-    demand), ``max_rounds``, and ``solver_mode``; the other exact
-    backends take no knobs (beyond ``highs-incremental``'s
-    ``solver_mode``).
+    demand), ``max_rounds``, and ``solver_mode``; the warm edge LP
+    (``highs-incremental`` / ``highs-batched``) takes ``solver_mode``;
+    ``highs-exact`` takes no knobs.
     """
     name = str(wl.get("solver", "exact"))
     params: Dict[str, Any] = {}
@@ -128,7 +128,7 @@ def _lp_solver_backend(wl: Mapping[str, Any]):
         params["k"] = wl.get("k_paths", 8)
     elif name == "mcf-approx" and "epsilon" in wl:
         params["epsilon"] = wl["epsilon"]
-    elif name == "highs-incremental" and "solver_mode" in wl:
+    elif name in ("highs-incremental", "highs-batched") and "solver_mode" in wl:
         params["mode"] = wl["solver_mode"]
     elif name == "highs-colgen":
         if "k_paths" in wl:

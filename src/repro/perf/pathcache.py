@@ -81,17 +81,25 @@ def _as_graph(graph_or_topology):
     return graph
 
 
-def topology_content_hash(graph_or_topology) -> str:
+def topology_content_hash(graph_or_topology, capacities: bool = False) -> str:
     """Stable SHA-256 of a switch graph's structure (nodes + edges).
 
-    Capacities are deliberately excluded: hop-count distances, ECMP
-    tables, and k-shortest-path sets depend only on the unweighted
-    structure, so equal-structure topologies with different link speeds
-    share one cache entry.
+    With ``capacities=False`` (the path caches' key) capacities are
+    excluded: hop-count distances, ECMP tables, and k-shortest-path sets
+    depend only on the unweighted structure, so equal-structure
+    topologies with different link speeds share one cache entry.
+    ``capacities=True`` also covers every edge's ``capacity`` — the key
+    of the solver contexts, whose LP matrices bake capacities in.
     """
     graph = _as_graph(graph_or_topology)
     nodes = sorted(graph.nodes())
-    edges = sorted(tuple(sorted((u, v))) for u, v in graph.edges())
+    if capacities:
+        edges = sorted(
+            (min(u, v), max(u, v), data.get("capacity"))
+            for u, v, data in graph.edges(data=True)
+        )
+    else:
+        edges = sorted(tuple(sorted((u, v))) for u, v in graph.edges())
     blob = json.dumps([nodes, edges], separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -21,7 +21,8 @@ family of objects lives in a :class:`Registry` keyed by name:
   through ``Topology.degrade``.
 * :data:`SOLVERS` — throughput solver backends (registered by
   ``repro.solvers.backends``): ``highs-exact`` (alias ``exact``),
-  ``highs-batched``, ``highs-paths`` (alias ``paths``), ``mcf-approx``;
+  ``highs-incremental`` (alias ``highs-batched``), ``highs-colgen``,
+  ``highs-paths`` (alias ``paths``), ``mcf-approx``;
   selectable from ``ExperimentSpec`` workloads, sweep JSON, and the
   CLI ``--solver`` flag.
 * :data:`DESIGNS` — per-family candidate enumerators for the inverse

@@ -7,28 +7,30 @@ backend abstraction in front of it:
 * :class:`SolverBackend` — ``solve(topology, tm)`` →
   :class:`SolveOutcome` (status enum: optimal / infeasible / unbounded /
   numerical, iterations, wall time), plus ``solve_many`` for batches;
-* ``highs-exact`` / ``highs-batched`` / ``highs-incremental`` /
-  ``highs-paths`` / ``mcf-approx`` — the built-in backends (see
-  :mod:`repro.solvers.backends`);
+  :class:`WarmBackend` is the shared shape of the backends that keep a
+  per-topology context;
+* ``highs-exact`` / ``highs-incremental`` (alias ``highs-batched``) /
+  ``highs-colgen`` / ``highs-paths`` / ``mcf-approx`` — the built-in
+  backends (see :mod:`repro.solvers.backends`);
 * registry integration — backends live in
   :data:`repro.registry.SOLVERS` and are selectable from
   ``ExperimentSpec`` (``workload.solver``), sweep JSON, and the CLI
   (``--solver``); ``repro.registry.solver("mcf-approx:epsilon=0.1")``
   builds one from a compact spec string.
 
-``highs-batched`` is byte-identical to ``highs-exact`` (same linprog
-calls on the same matrices), and so is ``highs-incremental``'s
-pure-scipy fallback (patched cached matrices equal fresh assembly);
-with the optional ``highspy`` dependency (the ``[perf]`` extra)
-``highs-incremental`` re-solves each sweep point with dual simplex from
-the previous basis.  ``mcf-approx`` is guaranteed within its
-(1 - O(epsilon)) bound and never above the exact optimum.  See
-``docs/solvers.md`` and the warm-start section of
+The exact edge LP has one implementation,
+:class:`~repro.throughput.lp.EdgeLpContext`: ``highs-exact`` uses it
+one-shot, ``highs-incremental`` / ``highs-batched`` keep it warm.  Its
+pure-scipy path is byte-identical to ``highs-exact``; with the optional
+``highspy`` dependency (the ``[perf]`` extra) warm solves re-solve with
+dual simplex from the previous basis.  ``mcf-approx`` is guaranteed
+within its (1 - O(epsilon)) bound and never above the exact optimum.
+See ``docs/solvers.md`` and the warm-start section of
 ``docs/performance.md``.
 """
 
+from ..throughput.lp import have_highspy
 from .backends import (
-    HighsBatchedBackend,
     HighsColgenBackend,
     HighsExactBackend,
     HighsIncrementalBackend,
@@ -36,18 +38,13 @@ from .backends import (
     McfApproxBackend,
     register_builtin_solvers,
 )
-from .base import SolveOutcome, SolveStatus, SolverBackend, solve_outcome
-from .batched import BatchedTopologyContext
-from .colgen import (
-    ColgenTopologyContext,
-    colgen_solve_outcome,
-)
-from .incremental import (
-    IncrementalTopologyContext,
-    have_highspy,
-    incremental_solve_outcome,
+from .base import (
+    SolveOutcome,
+    SolveStatus,
+    SolverBackend,
+    WarmBackend,
     reset_warm_start_stats,
-    topology_fingerprint,
+    solve_outcome,
     warm_start_stats,
 )
 
@@ -55,20 +52,14 @@ __all__ = [
     "SolveStatus",
     "SolveOutcome",
     "SolverBackend",
+    "WarmBackend",
     "solve_outcome",
     "HighsExactBackend",
-    "HighsBatchedBackend",
     "HighsIncrementalBackend",
     "HighsColgenBackend",
     "HighsPathsBackend",
     "McfApproxBackend",
-    "BatchedTopologyContext",
-    "IncrementalTopologyContext",
-    "ColgenTopologyContext",
-    "incremental_solve_outcome",
-    "colgen_solve_outcome",
     "have_highspy",
-    "topology_fingerprint",
     "warm_start_stats",
     "reset_warm_start_stats",
     "register_builtin_solvers",

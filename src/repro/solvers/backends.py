@@ -1,22 +1,20 @@
 """The built-in solver backends and their registry bindings.
 
-Five backends (plus the two legacy aliases the harness/CLI historically
-exposed):
+Five backends under eight registry names:
 
-* ``highs-exact`` (alias ``exact``) — one exact edge-LP call per TM via
-  :func:`~repro.throughput.lp.max_concurrent_throughput`.
-* ``highs-batched`` — exact edge LP with per-topology structure reuse
-  (:class:`~repro.solvers.batched.BatchedTopologyContext`); results are
-  byte-identical to ``highs-exact``.  ``solve_many`` is where it wins.
-* ``highs-incremental`` — exact edge LP with warm starts across sweep
-  points *and* across calls
-  (:class:`~repro.solvers.incremental.HighsIncrementalBackend`): cached
-  constraint structure per demand support, and with the optional
-  ``highspy`` dependency (the ``[perf]`` extra) dual-simplex re-solves
-  from the previous basis.  Knob ``mode`` (auto / highspy / fallback).
-* ``highs-colgen`` — exact *path* LP by column generation
-  (:class:`~repro.solvers.colgen.HighsColgenBackend`): restricted
-  master over a generated path pool + dual-price pricing loop,
+* ``highs-exact`` (alias ``exact``) — one cold exact edge-LP call per TM
+  via :func:`~repro.throughput.lp.max_concurrent_throughput`.
+* ``highs-incremental`` (alias ``highs-batched``) — the same edge LP
+  through a warm :class:`~repro.throughput.lp.EdgeLpContext`: cached
+  constraint structure per demand support across sweep points and
+  calls, and with the optional ``highspy`` dependency (the ``[perf]``
+  extra) dual-simplex re-solves from the previous basis.  Knob ``mode``
+  (auto / highspy / fallback); ``fallback`` is byte-identical to
+  ``highs-exact``.  ``solve_many`` is what the harness Runner batches
+  fixed-topology sweeps through.
+* ``highs-colgen`` — exact *path* LP by column generation through a warm
+  :class:`~repro.throughput.colgen.ColgenTopologyContext`: restricted
+  master over a persistent path pool + dual-price pricing loop,
   converging to the same optimum as ``highs-exact`` with masters small
   enough to scale an order of magnitude further.  Knobs ``k``,
   ``phases``, ``passes``, ``max_rounds``, ``mode`` (auto / core /
@@ -27,27 +25,29 @@ exposed):
   (:func:`~repro.throughput.mcf.approx_concurrent_throughput`); knob
   ``epsilon`` in (0, 0.5), guaranteeing a (1 - O(epsilon)) fraction of
   the exact optimum (never above it).
+
+Every outcome carries the registry name the caller asked for
+(``exact`` reports ``exact``, ``highs-batched`` reports
+``highs-batched``).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Any, Callable, Optional
 
-from .. import obs
+from ..throughput.colgen import ColgenTopologyContext, have_highs_core
 from ..throughput.lp import (
+    EdgeLpContext,
     ThroughputResult,
+    have_highspy,
     max_concurrent_throughput,
     path_throughput,
 )
 from ..throughput.mcf import approx_concurrent_throughput
-from .base import SolveOutcome, SolverBackend, solve_outcome
-from .batched import BatchedTopologyContext
-from .colgen import HighsColgenBackend
-from .incremental import HighsIncrementalBackend
+from .base import SolverBackend, WarmBackend
 
 __all__ = [
     "HighsExactBackend",
-    "HighsBatchedBackend",
     "HighsPathsBackend",
     "HighsIncrementalBackend",
     "HighsColgenBackend",
@@ -60,44 +60,98 @@ class HighsExactBackend(SolverBackend):
     """Exact edge LP, one self-contained HiGHS call per TM."""
 
     name = "highs-exact"
+    #: Shares the warm edge-LP context of ``highs-incremental`` where a
+    #: caller keeps contexts (the API); ``solve`` stays cold per call.
+    context_kind = EdgeLpContext.kind
 
     def _solve_result(self, topology, tm, per_server_demand: float) -> ThroughputResult:
         return max_concurrent_throughput(topology, tm, per_server_demand)
 
+    def new_context(self, topology) -> EdgeLpContext:
+        return EdgeLpContext(topology)
 
-class HighsBatchedBackend(SolverBackend):
-    """Exact edge LP with per-topology structure hoisted across a batch.
 
-    ``solve`` on a single TM builds a one-shot context (still
-    byte-identical to ``highs-exact``); ``solve_many`` amortizes the
-    ArcTable + component labels over the whole batch and runs in the
-    calling process, which is what the harness Runner exploits for
-    fixed-topology sweeps.
+class HighsIncrementalBackend(WarmBackend):
+    """Exact edge LP with cross-point *and* cross-call warm starts.
+
+    ``mode`` selects the engine: ``"auto"`` uses ``highspy`` when the
+    ``[perf]`` extra is installed and falls back to the pure-scipy
+    structure-reuse path otherwise; ``"highspy"`` requires the extra;
+    ``"fallback"`` forces scipy (the byte-identical-to-``highs-exact``
+    path) even when ``highspy`` is available.
     """
 
-    name = "highs-batched"
-    supports_batching = True
+    name = "highs-incremental"
+    context_kind = EdgeLpContext.kind
 
-    def solve(self, topology, tm, per_server_demand: float = 1.0) -> SolveOutcome:
-        return self.solve_many(topology, [tm], per_server_demand)[0]
+    def __init__(self, mode: str = "auto"):
+        super().__init__()
+        if mode not in ("auto", "highspy", "fallback"):
+            raise ValueError(
+                f"mode must be auto/highspy/fallback, got {mode!r}"
+            )
+        if mode == "highspy" and not have_highspy():
+            raise ValueError(
+                "mode='highspy' needs the optional highspy dependency; "
+                "install the [perf] extra (pip install 'repro[perf]')"
+            )
+        self.mode = mode
 
-    def solve_many(
+    def new_context(self, topology) -> EdgeLpContext:
+        use_highspy = None if self.mode == "auto" else self.mode == "highspy"
+        return EdgeLpContext(topology, use_highspy=use_highspy)
+
+
+class HighsColgenBackend(WarmBackend):
+    """Exact path LP by column generation, with a persistent path pool.
+
+    ``mode`` selects the engine: ``"auto"`` uses the scipy-bundled
+    HiGHS core when importable (warm ``addCols`` re-solves) and the
+    pure-``linprog`` loop otherwise; ``"core"`` requires the bundled
+    core; ``"fallback"`` forces ``linprog`` (tests, portability).
+    """
+
+    name = "highs-colgen"
+    context_kind = ColgenTopologyContext.kind
+
+    def __init__(
         self,
-        topology,
-        tms: Sequence,
-        per_server_demand: float = 1.0,
-        warm: bool = True,
-    ) -> List[SolveOutcome]:
-        del warm  # structure is rebuilt per batch; nothing outlives the call
-        context = BatchedTopologyContext(topology)
-        with obs.span("solver.solve_many", backend=self.name, points=len(tms)):
-            return [
-                solve_outcome(
-                    self.name,
-                    lambda tm=tm: context.solve(tm, per_server_demand),
-                )
-                for tm in tms
-            ]
+        k: int = 2,
+        phases: Optional[int] = None,
+        passes: int = 4,
+        max_rounds: int = 200,
+        mode: str = "auto",
+    ):
+        super().__init__()
+        if mode not in ("auto", "core", "fallback"):
+            raise ValueError(
+                f"mode must be auto/core/fallback, got {mode!r}"
+            )
+        if mode == "core" and not have_highs_core():
+            raise ValueError(
+                "mode='core' needs scipy's bundled HiGHS core "
+                "(scipy.optimize._highspy), which this scipy build lacks; "
+                "use mode='auto' or 'fallback'"
+            )
+        if int(k) < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if int(max_rounds) < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
+        self.k = int(k)
+        self.phases = None if phases is None else int(phases)
+        self.passes = int(passes)
+        self.max_rounds = int(max_rounds)
+        self.mode = mode
+
+    def new_context(self, topology) -> ColgenTopologyContext:
+        return ColgenTopologyContext(
+            topology,
+            k=self.k,
+            phases=self.phases,
+            passes=self.passes,
+            max_rounds=self.max_rounds,
+            use_core=None if self.mode == "auto" else self.mode == "core",
+        )
 
 
 class HighsPathsBackend(SolverBackend):
@@ -133,6 +187,18 @@ class McfApproxBackend(SolverBackend):
         )
 
 
+def _alias(cls, name: str) -> Callable[..., Any]:
+    """A registry factory building ``cls`` that reports ``name``."""
+
+    def build(**params: Any):
+        backend = cls(**params)
+        backend.name = name
+        return backend
+
+    build.supports_batching = cls.supports_batching
+    return build
+
+
 def register_builtin_solvers(registry) -> None:
     """Register the built-in backends (idempotent; called by the lazy
     loader of :data:`repro.registry.SOLVERS`)."""
@@ -141,18 +207,18 @@ def register_builtin_solvers(registry) -> None:
         "exact edge LP, one HiGHS call per TM",
     )
     registry.register(
-        "exact", HighsExactBackend, "alias of highs-exact"
-    )
-    registry.register(
-        "highs-batched", HighsBatchedBackend,
-        "exact edge LP, per-topology structure reuse; byte-identical "
-        "to highs-exact, batches fixed-topology sweeps",
+        "exact", _alias(HighsExactBackend, "exact"), "alias of highs-exact"
     )
     registry.register(
         "highs-incremental", HighsIncrementalBackend,
         "exact edge LP, warm-started across sweep points (structure + "
         "basis reuse with the optional highspy [perf] extra; pure-scipy "
         "fallback stays byte-identical to highs-exact); mode",
+    )
+    registry.register(
+        "highs-batched", _alias(HighsIncrementalBackend, "highs-batched"),
+        "alias of highs-incremental: exact edge LP, batches "
+        "fixed-topology sweeps; mode",
     )
     registry.register(
         "highs-colgen", HighsColgenBackend,
@@ -166,7 +232,7 @@ def register_builtin_solvers(registry) -> None:
         "k-shortest-paths LP lower bound; k",
     )
     registry.register(
-        "paths", HighsPathsBackend, "alias of highs-paths; k"
+        "paths", _alias(HighsPathsBackend, "paths"), "alias of highs-paths; k"
     )
     registry.register(
         "mcf-approx", McfApproxBackend,

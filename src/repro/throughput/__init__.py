@@ -17,8 +17,13 @@ from .errors import (
     SolverNumericalError,
     UnboundedError,
 )
-from .colgen import path_colgen_throughput
-from .lp import ThroughputResult, max_concurrent_throughput, path_throughput
+from .colgen import ColgenTopologyContext, path_colgen_throughput
+from .lp import (
+    EdgeLpContext,
+    ThroughputResult,
+    max_concurrent_throughput,
+    path_throughput,
+)
 from .mcf import approx_concurrent_throughput
 from .paths import all_shortest_paths, ecmp_next_hops, k_shortest_paths, path_edges
 from .proportionality import (
@@ -39,6 +44,8 @@ __all__ = [
     "conjecture_2_4_evidence",
     "Conjecture24Evidence",
     "max_concurrent_throughput",
+    "EdgeLpContext",
+    "ColgenTopologyContext",
     "path_throughput",
     "path_colgen_throughput",
     "approx_concurrent_throughput",

@@ -56,6 +56,7 @@ exactly those of :func:`~repro.throughput.lp.max_concurrent_throughput`.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -77,6 +78,7 @@ from .lp import (
 
 __all__ = [
     "ColgenStats",
+    "ColgenTopologyContext",
     "have_highs_core",
     "path_colgen_throughput",
     "colgen_solve",
@@ -633,7 +635,7 @@ def colgen_solve(
     mapping (arc-id tuples against *this* ArcTable): pre-existing
     entries seed the master, and newly generated columns are written
     back (bounded by :data:`POOL_CAP_PER_PAIR`) — how
-    :class:`~repro.solvers.colgen.ColgenTopologyContext` warm-starts
+    :class:`ColgenTopologyContext` warm-starts
     repeated solves.  ``use_core=None`` auto-detects the bundled HiGHS
     core; ``False`` forces the linprog fallback (tests).
     """
@@ -715,6 +717,124 @@ def colgen_solve(
     return result, stats
 
 
+class ColgenTopologyContext:
+    """Prepared per-topology state for column-generation solves.
+
+    Hoists the :class:`~repro.throughput.arcs.ArcTable`, component
+    labels and the (shared) :class:`~repro.perf.PathCache`, and persists
+    the generated column pool across warm solves (``(src, dst) ->
+    [arc-id paths]``, bounded per pair by :data:`POOL_CAP_PER_PAIR`): a
+    later solve over covered pairs seeds its first master from the pool,
+    skips the multiplicative-weights sweep, and typically converges in a
+    pricing round or two.
+
+    Warm solves serialize on the pool; ``warm=False`` solves neither
+    read nor extend it and run in parallel.  :meth:`stats` never waits
+    for an in-flight solve.
+    """
+
+    kind = "colgen"
+
+    def __init__(
+        self,
+        topology: Topology,
+        k: int = 2,
+        phases: Optional[int] = None,
+        passes: int = 4,
+        max_rounds: int = 200,
+        use_core: Optional[bool] = None,
+        path_cache=None,
+    ):
+        if path_cache is None:
+            from ..perf import shared_path_cache
+
+            path_cache = shared_path_cache(topology.graph)
+        self.topology = topology
+        self.table = ArcTable.from_topology(topology)
+        self.labels: Dict[int, int] = _component_labels(topology.graph)
+        self.cache = path_cache
+        self.k = int(k)
+        self.phases = phases
+        self.passes = int(passes)
+        self.max_rounds = int(max_rounds)
+        self.use_core = have_highs_core() if use_core is None else bool(use_core)
+        self._pool: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
+        self._pool_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self.solves = 0
+        self.warm_solves = 0
+        self.pricing_rounds = 0
+        self.columns_added = 0
+
+    def solve(
+        self,
+        tm: TrafficMatrix,
+        per_server_demand: float = 1.0,
+        warm: bool = True,
+        flags: Optional[Dict[str, Any]] = None,
+    ) -> ThroughputResult:
+        """Solve one TM, seeding the master from the persistent pool.
+
+        Degenerate conventions and the failure taxonomy are exactly
+        those of :func:`~repro.throughput.lp.max_concurrent_throughput`.
+        With ``warm=False`` the solve neither reads nor extends the
+        pool.  ``flags``, when given, receives this solve's
+        ``warm_started`` (the pool covered every demand pair),
+        ``basis_reused`` (always False: only columns persist) and
+        ``pricing_rounds``.
+        """
+        if tm.num_flows == 0:
+            return ThroughputResult(throughput=float("inf"), per_server=1.0)
+        tm, dropped = _drop_by_labels(tm, self.labels)
+        if tm.num_flows == 0:
+            return ThroughputResult(
+                throughput=0.0, per_server=0.0, disconnected_pairs=dropped
+            )
+        with self._pool_lock if warm else contextlib.nullcontext():
+            result, stats = colgen_solve(
+                self.table,
+                self.cache,
+                tm,
+                per_server_demand=per_server_demand,
+                dropped=dropped,
+                k=self.k,
+                phases=self.phases,
+                passes=self.passes,
+                max_rounds=self.max_rounds,
+                pool_store=self._pool if warm else None,
+                use_core=self.use_core,
+                context={
+                    "topology": self.topology.name,
+                    "demands": tm.num_flows,
+                },
+            )
+        with self._lock:
+            self.solves += 1
+            self.warm_solves += stats.pool_warm
+            self.pricing_rounds += stats.rounds
+            self.columns_added += stats.columns_added
+        if flags is not None:
+            flags["warm_started"] = stats.pool_warm
+            flags["basis_reused"] = False
+            flags["pricing_rounds"] = stats.rounds
+        return result
+
+    def stats(self) -> Dict[str, Any]:
+        """JSON-ready counters; never waits for an in-flight solve."""
+        with self._lock:
+            return {
+                "kind": self.kind,
+                "k": self.k,
+                "max_rounds": self.max_rounds,
+                "pool_pairs": len(self._pool),
+                "solves": self.solves,
+                "warm_solves": self.warm_solves,
+                "pricing_rounds": self.pricing_rounds,
+                "columns_added": self.columns_added,
+                "engine": "highs-core" if self.use_core else "linprog",
+            }
+
+
 def path_colgen_throughput(
     topology: Topology,
     tm: TrafficMatrix,
@@ -732,7 +852,8 @@ def path_colgen_throughput(
     :func:`~repro.throughput.lp.max_concurrent_throughput` (within
     solver tolerance — property-tested to 1e-9) with restricted masters
     that are orders of magnitude smaller than the edge formulation, so
-    it scales to networks the exact edge LP cannot touch.
+    it scales to networks the exact edge LP cannot touch.  A one-shot
+    :class:`ColgenTopologyContext` solve (no persistent pool).
 
     Parameters
     ----------
@@ -753,29 +874,8 @@ def path_colgen_throughput(
     ``(inf, 1.0)``; all demands disconnected returns ``(0.0, 0.0)``
     with ``disconnected_pairs`` set.
     """
-    if tm.num_flows == 0:
-        return ThroughputResult(throughput=float("inf"), per_server=1.0)
-    tm, dropped = _drop_by_labels(tm, _component_labels(topology.graph))
-    if tm.num_flows == 0:
-        return ThroughputResult(
-            throughput=0.0, per_server=0.0, disconnected_pairs=dropped
-        )
-    if path_cache is None:
-        from ..perf import shared_path_cache
-
-        path_cache = shared_path_cache(topology.graph)
-    table = ArcTable.from_topology(topology)
-    result, _stats = colgen_solve(
-        table,
-        path_cache,
-        tm,
-        per_server_demand=per_server_demand,
-        dropped=dropped,
-        k=k,
-        phases=phases,
-        passes=passes,
-        max_rounds=max_rounds,
-        use_core=use_core,
-        context={"topology": topology.name, "demands": tm.num_flows},
+    context = ColgenTopologyContext(
+        topology, k=k, phases=phases, passes=passes, max_rounds=max_rounds,
+        use_core=use_core, path_cache=path_cache,
     )
-    return result
+    return context.solve(tm, per_server_demand, warm=False)

@@ -9,7 +9,10 @@ classic *maximum concurrent flow* problem.  Two formulations are provided:
   edge-flow LP.  Commodities are grouped by destination, so the variable
   count is ``(#destinations) x (#arcs)`` rather than
   ``(#pairs) x (#arcs)``; optimal value is unchanged (flows to the same
-  destination can always be merged).
+  destination can always be merged).  :class:`EdgeLpContext` is the one
+  implementation: a per-topology context that also caches assembled
+  LPs across solves (and, with the optional ``highspy`` dependency,
+  simplex bases); the function is a one-shot use of it.
 * :func:`path_throughput` — restricted to k shortest paths per demand
   (a lower bound on the exact optimum, asymptotically tight as k grows);
   much smaller LPs on large networks.
@@ -27,8 +30,10 @@ the baseline for the perf-regression bench.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -39,7 +44,12 @@ from .. import obs
 from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .arcs import ArcTable
-from .errors import raise_for_linprog
+from .errors import (
+    InfeasibleError,
+    SolverNumericalError,
+    UnboundedError,
+    raise_for_linprog,
+)
 from .paths import path_edges
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,6 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ThroughputResult",
+    "EdgeLpContext",
+    "have_highspy",
     "max_concurrent_throughput",
     "path_throughput",
 ]
@@ -290,49 +302,29 @@ def _assemble_exact_vectorized(
     return a_eq, b_eq, a_ub
 
 
-def _solve_exact_assembled(
+def _c_for_exact(num_vars: int) -> np.ndarray:
+    """The exact LP's objective vector: maximize t (minimize ``-t``)."""
+    c = np.zeros(num_vars)
+    c[num_vars - 1] = -1.0
+    return c
+
+
+def _exact_result(
     table: ArcTable,
+    x: np.ndarray,
     num_dests: int,
-    a_eq: sp.csr_matrix,
-    b_eq: np.ndarray,
-    a_ub: sp.csr_matrix,
     per_server_demand: float,
     dropped: int,
-    context: Optional[Dict[str, object]] = None,
+    iterations: int,
 ) -> ThroughputResult:
-    """Solve pre-assembled exact-LP matrices and extract the result.
-
-    The ``linprog`` invocation and extraction shared by
-    :func:`_solve_exact` (fresh assembly per call) and the warm-started
-    :class:`repro.solvers.IncrementalTopologyContext` (which patches the
-    demand coefficients of a cached ``a_eq`` in place).  One code path
-    means incremental results are byte-identical to the per-call path on
-    identical matrices — by construction, not by tolerance.
-    """
+    """Extract ``t`` and per-arc utilization from an exact-LP solution."""
     num_arcs = table.num_arcs
-    num_vars = num_dests * num_arcs + 1
-    t_var = num_vars - 1
-    with obs.span("lp.solve", formulation="exact", variables=num_vars):
-        res = linprog(
-            _c_for_exact(num_vars),
-            A_ub=a_ub,
-            b_ub=table.caps,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * num_vars,
-            method="highs",
-        )
-    iterations = int(getattr(res, "nit", 0) or 0)
-    obs.add("lp.solver_iterations", iterations)
-    raise_for_linprog(res, formulation="exact", context=context)
-    t = float(res.x[t_var])
-
+    t = float(x[num_dests * num_arcs])
     utilization: Dict[Tuple[int, int], float] = {}
-    flows = res.x[:-1].reshape(num_dests, num_arcs).sum(axis=0)
+    flows = x[: num_dests * num_arcs].reshape(num_dests, num_arcs).sum(axis=0)
     caps = table.caps
     for a, (u, v) in enumerate(table.arcs):
         utilization[(u, v)] = float(flows[a] / caps[a]) if caps[a] else 0.0
-
     return ThroughputResult(
         throughput=t,
         per_server=min(1.0, t * per_server_demand),
@@ -342,38 +334,363 @@ def _solve_exact_assembled(
     )
 
 
-def _c_for_exact(num_vars: int) -> np.ndarray:
-    """The exact LP's objective vector: maximize t (minimize ``-t``)."""
-    c = np.zeros(num_vars)
-    c[num_vars - 1] = -1.0
-    return c
+# ----------------------------------------------------------------------
+# Optional highspy dependency (the [perf] extra)
+# ----------------------------------------------------------------------
+_HIGHSPY: Optional[Any] = None
+_HIGHSPY_CHECKED = False
 
 
-def _solve_exact(
-    table: ArcTable,
-    tm: TrafficMatrix,
-    per_server_demand: float,
-    dropped: int,
-    context: Optional[Dict[str, object]] = None,
-) -> ThroughputResult:
-    """Assemble and solve the exact LP on a prepared :class:`ArcTable`.
+def have_highspy() -> bool:
+    """Whether the optional ``highspy`` module (``[perf]`` extra) imports."""
+    return _highspy() is not None
 
-    The single implementation behind both :func:`max_concurrent_throughput`
-    and the batched :class:`repro.solvers.BatchedTopologyContext`:
-    sharing one code path (same matrices, same ``linprog`` invocation,
-    same extraction) is what makes batched results byte-identical to the
-    per-call path by construction.  ``tm`` must already be pre-filtered
-    (non-empty, routable demands only).
+
+def _highspy() -> Optional[Any]:
+    global _HIGHSPY, _HIGHSPY_CHECKED
+    if not _HIGHSPY_CHECKED:
+        _HIGHSPY_CHECKED = True
+        try:
+            import highspy  # type: ignore
+
+            _HIGHSPY = highspy
+        except ImportError:
+            _HIGHSPY = None
+    return _HIGHSPY
+
+
+#: Bound on cached LP structures per context (distinct demand supports).
+DEFAULT_MAX_STRUCTURES = 32
+
+
+def _structure_key(
+    dests: List[int], demand_to: Dict[int, Dict[int, float]]
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+    """The demand-structure identity: destination set + nonzero support.
+
+    Zero-valued demands are excluded exactly as assembly excludes them,
+    so a TM whose entry drops to zero keys a different (correct)
+    structure instead of patching a coefficient that does not exist.
     """
-    obs.add("lp.calls")
-    with obs.span("lp.assemble", formulation="exact", demands=tm.num_flows):
-        dests, demand_to = _demands_by_destination(tm)
-        num_dests = len(dests)
-        a_eq, b_eq, a_ub = _assemble_exact_vectorized(table, dests, demand_to)
-    return _solve_exact_assembled(
-        table, num_dests, a_eq, b_eq, a_ub, per_server_demand, dropped,
-        context=context,
+    support = tuple(
+        sorted(
+            (d, v)
+            for d in dests
+            for v, dem in demand_to[d].items()
+            if dem
+        )
     )
+    return tuple(dests), support
+
+
+@dataclass
+class _LpStructure:
+    """One fully assembled exact LP, ready for coefficient patching."""
+
+    num_dests: int
+    a_eq: sp.csr_matrix  # data patched in place between solves
+    b_eq: np.ndarray
+    a_ub: sp.csr_matrix
+    demand_slots: np.ndarray  # index into a_eq.data per support entry
+    demand_rows: np.ndarray  # equality-row index per support entry
+    values: np.ndarray  # current (positive) demand values, support order
+    highs: Any = None  # persistent highspy.Highs, when available
+    solved_once: bool = False
+
+
+class EdgeLpContext:
+    """Prepared per-topology state for exact edge-LP solves.
+
+    Hoists the topology side of the LP once — the
+    :class:`~repro.throughput.arcs.ArcTable` and component labels — and
+    keeps a bounded LRU of fully assembled LP structures keyed by demand
+    structure (destination set + demand support).  A later solve over a
+    cached support patches only the demand coefficients of ``t`` and
+    re-solves:
+
+    * with ``highspy`` (the optional ``[perf]`` extra) the model lives
+      in a persistent ``highspy.Highs`` instance, patched through
+      ``changeCoeff`` and re-solved by dual simplex from the previous
+      basis;
+    * without it, the patched canonical CSR matrices are *identical* to
+      fresh assembly and go through the same ``linprog`` call as a cold
+      solve, so results are byte-identical to
+      :func:`max_concurrent_throughput` — which is itself a one-shot
+      ``use_highspy=False`` context solved with ``warm=False``.
+
+    Solves never serialize on the context: its lock covers only the
+    structure LRU.  A structure is checked out for the duration of its
+    solve, so a concurrent solve over the same support assembles its
+    own, and HiGHS (which releases the GIL) runs the two in parallel.
+    """
+
+    kind = "edge-lp"
+
+    def __init__(
+        self,
+        topology: Topology,
+        use_highspy: Optional[bool] = None,
+        max_structures: int = DEFAULT_MAX_STRUCTURES,
+    ):
+        self.topology = topology
+        self.table = ArcTable.from_topology(topology)
+        self.labels: Dict[int, int] = _component_labels(topology.graph)
+        self.use_highspy = have_highspy() if use_highspy is None else bool(use_highspy)
+        if self.use_highspy and not have_highspy():
+            raise ValueError(
+                "highspy is not installed; install the [perf] extra "
+                "(pip install 'repro[perf]') or use the scipy fallback"
+            )
+        self.max_structures = int(max_structures)
+        self._structures: "OrderedDict[Any, _LpStructure]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.models_built = 0
+        self.warm_solves = 0
+        self.cold_solves = 0
+
+    def solve(
+        self,
+        tm: TrafficMatrix,
+        per_server_demand: float = 1.0,
+        warm: bool = True,
+        flags: Optional[Dict[str, Any]] = None,
+    ) -> ThroughputResult:
+        """Solve one TM, warm-starting off any cached matching structure.
+
+        Degenerate conventions and the failure taxonomy are exactly
+        those of :func:`max_concurrent_throughput`.  With ``warm=False``
+        the solve assembles fresh and caches nothing.  ``flags``, when
+        given, receives this solve's ``warm_started`` / ``basis_reused``
+        / ``model_built`` (left empty for degenerate TMs that never
+        reach the LP).
+        """
+        if tm.num_flows == 0:
+            return ThroughputResult(throughput=float("inf"), per_server=1.0)
+        tm, dropped = _drop_by_labels(tm, self.labels)
+        if tm.num_flows == 0:
+            return ThroughputResult(
+                throughput=0.0, per_server=0.0, disconnected_pairs=dropped
+            )
+
+        obs.add("lp.calls")
+        dests, demand_to = _demands_by_destination(tm)
+        key = _structure_key(dests, demand_to)
+        with self._lock:
+            structure = self._structures.pop(key, None) if warm else None
+            if structure is None:
+                self.cold_solves += 1
+                self.models_built += 1
+            else:
+                self.warm_solves += 1
+        warm_started = structure is not None
+        if structure is None:
+            structure = self._build_structure(dests, demand_to, key[1])
+        else:
+            self._patch_values(
+                structure,
+                np.asarray([demand_to[d][v] for d, v in key[1]], dtype=float),
+            )
+        if flags is not None:
+            flags["warm_started"] = warm_started
+            flags["basis_reused"] = (
+                structure.highs is not None and structure.solved_once
+            )
+            flags["model_built"] = not warm_started
+        context = {"topology": self.topology.name, "demands": tm.num_flows}
+        try:
+            if structure.highs is not None:
+                result = self._solve_highspy(
+                    structure, per_server_demand, dropped, context
+                )
+            else:
+                result = self._solve_linprog(
+                    structure, per_server_demand, dropped, context
+                )
+            structure.solved_once = True
+        finally:
+            if warm:
+                with self._lock:
+                    self._structures[key] = structure
+                    while len(self._structures) > self.max_structures:
+                        self._structures.popitem(last=False)
+        return result
+
+    # ------------------------------------------------------------------
+    def _build_structure(
+        self,
+        dests: List[int],
+        demand_to: Dict[int, Dict[int, float]],
+        support: Tuple[Tuple[int, int], ...],
+    ) -> _LpStructure:
+        table = self.table
+        num_dests = len(dests)
+        n = table.num_nodes
+        t_var = num_dests * table.num_arcs
+        with obs.span(
+            "lp.assemble", formulation="exact", demands=len(support)
+        ):
+            a_eq, b_eq, a_ub = _assemble_exact_vectorized(
+                table, dests, demand_to
+            )
+        dest_index = {d: i for i, d in enumerate(dests)}
+        rows = np.empty(len(support), dtype=np.intp)
+        slots = np.empty(len(support), dtype=np.intp)
+        for i, (d, v) in enumerate(support):
+            dn_i = table.node_index[d]
+            vi = table.node_index[v]
+            row = dest_index[d] * (n - 1) + vi - (vi > dn_i)
+            slot = a_eq.indptr[row + 1] - 1
+            # t has the largest column index, so its coefficient is the
+            # last entry of its (canonically sorted) row.
+            if a_eq.indices[slot] != t_var:  # pragma: no cover - invariant
+                raise SolverNumericalError(
+                    "incremental assembly lost a demand coefficient",
+                    formulation="exact",
+                )
+            rows[i] = row
+            slots[i] = slot
+        structure = _LpStructure(
+            num_dests=num_dests,
+            a_eq=a_eq,
+            b_eq=b_eq,
+            a_ub=a_ub,
+            demand_slots=slots,
+            demand_rows=rows,
+            values=-a_eq.data[slots].copy(),
+        )
+        if self.use_highspy:
+            structure.highs = self._build_highs_model(structure)
+        return structure
+
+    def _patch_values(
+        self, structure: _LpStructure, values: np.ndarray
+    ) -> None:
+        """Mutate only the changed demand coefficients (scipy + highspy)."""
+        changed = np.nonzero(values != structure.values)[0]
+        if changed.size == 0:
+            return
+        structure.a_eq.data[structure.demand_slots[changed]] = -values[changed]
+        if structure.highs is not None:
+            t_var = structure.num_dests * self.table.num_arcs
+            for i in changed:
+                structure.highs.changeCoeff(
+                    int(structure.demand_rows[i]), t_var, float(-values[i])
+                )
+        structure.values = values.copy()
+
+    def _solve_linprog(
+        self,
+        structure: _LpStructure,
+        per_server_demand: float,
+        dropped: int,
+        context: Dict[str, Any],
+    ) -> ThroughputResult:
+        num_vars = structure.num_dests * self.table.num_arcs + 1
+        with obs.span("lp.solve", formulation="exact", variables=num_vars):
+            res = linprog(
+                _c_for_exact(num_vars),
+                A_ub=structure.a_ub,
+                b_ub=self.table.caps,
+                A_eq=structure.a_eq,
+                b_eq=structure.b_eq,
+                bounds=[(0, None)] * num_vars,
+                method="highs",
+            )
+        iterations = int(getattr(res, "nit", 0) or 0)
+        obs.add("lp.solver_iterations", iterations)
+        raise_for_linprog(res, formulation="exact", context=context)
+        return _exact_result(
+            self.table, res.x, structure.num_dests, per_server_demand,
+            dropped, iterations,
+        )
+
+    # ------------------------------------------------------------------
+    # highspy model: built once, mutated + re-solved from the basis
+    # ------------------------------------------------------------------
+    def _build_highs_model(self, structure: _LpStructure):
+        highspy = _highspy()
+        table = self.table
+        num_vars = structure.num_dests * table.num_arcs + 1
+        num_eq = structure.a_eq.shape[0]
+        matrix = sp.vstack([structure.a_eq, structure.a_ub]).tocsc()
+        inf = highspy.kHighsInf
+
+        lp = highspy.HighsLp()
+        lp.num_col_ = num_vars
+        lp.num_row_ = num_eq + table.num_arcs
+        lp.col_cost_ = _c_for_exact(num_vars)
+        lp.col_lower_ = np.zeros(num_vars)
+        lp.col_upper_ = np.full(num_vars, inf)
+        lp.row_lower_ = np.concatenate(
+            [np.zeros(num_eq), np.full(table.num_arcs, -inf)]
+        )
+        lp.row_upper_ = np.concatenate(
+            [np.zeros(num_eq), np.asarray(table.caps, dtype=float)]
+        )
+        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+
+        h = highspy.Highs()
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("threads", 1)
+        h.passModel(lp)
+        return h
+
+    def _solve_highspy(
+        self,
+        structure: _LpStructure,
+        per_server_demand: float,
+        dropped: int,
+        context: Dict[str, Any],
+    ) -> ThroughputResult:
+        highspy = _highspy()
+        t_var = structure.num_dests * self.table.num_arcs
+        h = structure.highs
+        with obs.span(
+            "lp.solve", formulation="exact", variables=t_var + 1,
+            warm=structure.solved_once,
+        ):
+            h.run()
+        status = h.getModelStatus()
+        info = h.getInfo()
+        iterations = int(getattr(info, "simplex_iteration_count", 0) or 0)
+        obs.add("lp.solver_iterations", iterations)
+        if status != highspy.HighsModelStatus.kOptimal:
+            kinds = {
+                getattr(highspy.HighsModelStatus, "kInfeasible", None):
+                    InfeasibleError,
+                getattr(highspy.HighsModelStatus, "kUnbounded", None):
+                    UnboundedError,
+                getattr(highspy.HighsModelStatus, "kUnboundedOrInfeasible", None):
+                    InfeasibleError,
+            }
+            raise kinds.get(status, SolverNumericalError)(
+                f"throughput LP failed: HiGHS reported {status}",
+                formulation="exact",
+                iterations=iterations,
+                context=context,
+            )
+        x = np.asarray(h.getSolution().col_value, dtype=float)
+        return _exact_result(
+            self.table, x, structure.num_dests, per_server_demand,
+            dropped, iterations,
+        )
+
+    # ------------------------------------------------------------------
+    def stats(self) -> Dict[str, Any]:
+        """JSON-ready counters; never waits for an in-flight solve."""
+        with self._lock:
+            return {
+                "kind": self.kind,
+                "structures": len(self._structures),
+                "max_structures": self.max_structures,
+                "models_built": self.models_built,
+                "warm_solves": self.warm_solves,
+                "cold_solves": self.cold_solves,
+                "highspy": self.use_highspy,
+            }
 
 
 def max_concurrent_throughput(
@@ -405,29 +722,16 @@ def max_concurrent_throughput(
     Destination-aggregated arc-flow LP: variables ``f[d, a]`` (flow bound
     for destination ToR ``d`` on arc ``a``) plus the concurrency ``t``;
     conservation at every node except the destination; arc capacity sums
-    over destinations.
+    over destinations.  A one-shot :class:`EdgeLpContext` solve: scipy's
+    HiGHS on freshly assembled matrices, nothing cached.
 
     Degenerate cases are conventions, not errors: an empty TM returns
     ``(inf, 1.0)``; a TM whose demands are all disconnected returns
     ``(0.0, 0.0)`` with ``disconnected_pairs`` set (see
     :class:`ThroughputResult`).
     """
-    if tm.num_flows == 0:
-        return ThroughputResult(throughput=float("inf"), per_server=1.0)
-
-    tm, dropped = _drop_disconnected_demands(topology, tm)
-    if tm.num_flows == 0:
-        return ThroughputResult(
-            throughput=0.0, per_server=0.0, disconnected_pairs=dropped
-        )
-
-    table = ArcTable.from_topology(topology)
-    return _solve_exact(
-        table,
-        tm,
-        per_server_demand,
-        dropped,
-        context={"topology": topology.name, "demands": tm.num_flows},
+    return EdgeLpContext(topology, use_highspy=False).solve(
+        tm, per_server_demand, warm=False
     )
 
 

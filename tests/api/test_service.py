@@ -35,7 +35,7 @@ def test_healthz(client):
 
 def test_context_manifest(client):
     ctx = client.context()
-    assert ctx.service == "repro.api/2"
+    assert ctx.service == "repro.api/3"
     assert ctx.library_version == repro.__version__
     assert ctx.raw["spec_hash_version"] == repro.SPEC_HASH_VERSION
     for registry_name in ("topologies", "traffic", "routings", "failures",
@@ -44,7 +44,7 @@ def test_context_manifest(client):
     assert "POST /v1/throughput" in ctx.raw["endpoints"]
     assert set(ctx.caches) == {
         "topologies", "solver_contexts", "results", "path_cache",
-        "incremental_contexts", "colgen_contexts", "warm_start",
+        "warm_start",
     }
     assert set(ctx.caches["warm_start"]) >= {"hit", "miss"}
     assert ctx.limits["max_body_bytes"] > 0
@@ -104,6 +104,25 @@ def test_throughput_alternate_solver(client):
     # Both exact backends share one warm LP context per topology.
     assert exact.warm["context"] == "miss"
     assert batched.warm["context"] == "hit"
+
+
+def test_solver_parameters_are_validated_and_kept(client):
+    """Every solver is built through the registry: bad parameters are a
+    400, and valid ones select their own warm context."""
+    from repro.api import ApiError
+
+    for solver in ("highs-colgen:k=0", "highs-incremental:mode=bogus",
+                   "highs-batched:k=3"):
+        with pytest.raises(ApiError) as info:
+            client.throughput(XPANDER, solver=solver)
+        assert info.value.status == 400, solver
+        assert info.value.code == "bad_spec", solver
+
+    client.throughput(XPANDER, solver="highs-colgen", fractions=[0.5])
+    tuned = client.throughput(XPANDER, solver="highs-colgen:k=1", fractions=[0.5])
+    assert tuned.warm["context"] == "miss"
+    contexts = client.context().caches["solver_contexts"]["contexts"]
+    assert sorted(c["k"] for c in contexts if c["kind"] == "colgen") == [1, 2]
 
 
 def test_throughput_non_context_solver(client):

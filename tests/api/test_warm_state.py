@@ -160,7 +160,7 @@ def test_incremental_contexts_survive_across_requests(client):
         assert first.json["warm"]["context"] == "miss"
         assert first.json["results"][0]["warm_started"] is False
         assert _counter("solver.warm_start.miss") == 1
-        assert _counter("api.incremental.misses") == 1
+        assert _counter("api.context.misses") == 1
 
         # Different demand (scaled), same support: a warm re-solve off
         # the model the *previous request* built.
@@ -170,7 +170,7 @@ def test_incremental_contexts_survive_across_requests(client):
              "fraction": 1.0, "seed": 1, "per_server_demand": 0.5},
         ).raise_for_status()
         assert second.json["warm"]["context"] == "hit"
-        assert _counter("api.incremental.hits") == 1
+        assert _counter("api.context.hits") == 1
 
     exact = client.post(
         "/throughput",
@@ -196,9 +196,10 @@ def test_context_surfaces_warm_start_counters_and_incremental_stats(client):
     warm_start = caches["warm_start"]
     assert warm_start["models_built"] >= 1
     assert warm_start["miss"] >= 1
-    incremental = caches["incremental_contexts"]
-    assert incremental["entries"] == 1
-    (ctx,) = incremental["contexts"]
+    contexts = caches["solver_contexts"]
+    assert contexts["entries"] == 1
+    (ctx,) = contexts["contexts"]
+    assert ctx["kind"] == "edge-lp"
     assert ctx["models_built"] >= 1
     assert ctx["cold_solves"] >= 1
     assert ctx["highspy"] in (True, False)
@@ -215,7 +216,7 @@ def test_incremental_cold_bypass(client):
     assert resp.json["results"][0]["warm_started"] is False
     assert resp.json["results"][0]["basis_reused"] is False
     stats = client.service.state.stats()
-    assert stats["incremental_contexts"]["entries"] == 0
+    assert stats["solver_contexts"]["entries"] == 0
 
 
 def test_concurrent_requests_share_one_warm_entry(client):
@@ -241,3 +242,39 @@ def test_concurrent_requests_share_one_warm_entry(client):
     stats = client.service.state.stats()
     assert stats["topologies"]["entries"] == 1
     assert stats["solver_contexts"]["entries"] == 1
+
+
+def test_context_stats_never_stall_other_requests():
+    """``/v1/context`` reads context stats outside the state lock: a
+    context busy in a long solve must not block other requests' cache
+    lookups."""
+    from repro import registry
+
+    state = WarmState()
+    topo, _ = state.topology(JELLYFISH)
+    backend = registry.solver("highs-incremental")
+    context, _ = state.solver_context(
+        state.topology_key(JELLYFISH), topo, backend, {}
+    )
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with context._lock:
+            held.set()
+            release.wait(timeout=10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert held.wait(timeout=5)
+    reader = threading.Thread(target=state.stats)
+    reader.start()
+    reader.join(timeout=0.2)  # let stats() reach the busy context
+    lookup = threading.Thread(target=state.topology, args=("fattree:k=4",))
+    try:
+        lookup.start()
+        lookup.join(timeout=2)
+        assert not lookup.is_alive(), "topology lookup stalled behind stats()"
+    finally:
+        release.set()
+        for t in (holder, reader, lookup):
+            t.join(timeout=10)

@@ -14,13 +14,19 @@ TOPOLOGY = {
 FRACTIONS = [1.0, 0.75, 0.5]
 
 
-def _specs(solver, prefix="p", **extra):
+def _specs(solver, prefix="p", mode=None, **extra):
+    """One lp spec per fraction; ``mode`` sets the workload's
+    ``solver_mode`` (``"fallback"`` pins the scipy path, byte-identical
+    to ``exact`` even where ``highspy`` is installed)."""
+    workload = {"solver": solver}
+    if mode is not None:
+        workload["solver_mode"] = mode
     return [
         ExperimentSpec(
             name=f"{prefix}{i}",
             engine="lp",
             topology=dict(TOPOLOGY),
-            workload={"solver": solver, "fraction": f},
+            workload=dict(workload, fraction=f),
             **extra,
         )
         for i, f in enumerate(FRACTIONS)
@@ -38,13 +44,23 @@ class _FakeRes:
 
 class TestAutoBatching:
     def test_batched_records_match_per_point_exact(self):
-        batched = Runner(jobs=1, retries=0).run(_specs("highs-batched"))
+        batched = Runner(jobs=1, retries=0).run(
+            _specs("highs-batched", mode="fallback")
+        )
         exact = Runner(jobs=1, retries=0).run(_specs("exact", prefix="q"))
         assert batched.ok and exact.ok
         for a, b in zip(batched.records, exact.records):
             assert a.attempts == 1
             assert a.metrics == b.metrics
             assert a.telemetry == b.telemetry
+
+    def test_solver_mode_reaches_the_warm_backend_under_both_names(self):
+        from repro.harness.execute import _lp_solver_backend
+
+        for name in ("highs-batched", "highs-incremental"):
+            backend = _lp_solver_backend({"solver": name, "solver_mode": "fallback"})
+            assert backend.mode == "fallback"
+            assert backend.name == name
 
     def test_batch_key_gates_on_backend_and_engine(self):
         assert Runner._batch_key(_specs("highs-batched")[0]) is not None
@@ -81,7 +97,7 @@ class TestAutoBatching:
     def test_degraded_batch_matches_per_point(self):
         failures = {"mode": "links", "fraction": 0.1, "seed": 3}
         batched = Runner(jobs=1, retries=0).run(
-            _specs("highs-batched", failures=dict(failures))
+            _specs("highs-batched", mode="fallback", failures=dict(failures))
         )
         exact = Runner(jobs=1, retries=0).run(
             _specs("exact", prefix="q", failures=dict(failures))
@@ -100,14 +116,15 @@ class TestBatchFailureIsolation:
         monkeypatch.setattr(
             lp, "linprog", lambda *a, **k: _FakeRes(2, message="infeasible")
         )
-        records = execute_lp_batch(_specs("highs-batched"))
+        records = execute_lp_batch(_specs("highs-batched", mode="fallback"))
         assert all(r.status == "failed" for r in records)
         assert all(r.error.startswith("InfeasibleError:") for r in records)
         assert all(r.attempts == 1 for r in records)
 
     def test_batch_matches_execute_spec(self):
-        records = execute_lp_batch(_specs("highs-batched"))
-        for spec, record in zip(_specs("highs-batched"), records):
+        specs = _specs("highs-batched", mode="fallback")
+        records = execute_lp_batch(specs)
+        for spec, record in zip(specs, records):
             assert record.ok
             assert record.metrics == execute_spec(spec).metrics
 

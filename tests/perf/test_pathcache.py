@@ -142,6 +142,28 @@ class TestContentHash:
         with pytest.raises(TypeError):
             topology_content_hash(42)
 
+    def test_path_cache_key_is_pinned(self):
+        """Persisted ``.npy`` / ``.json`` path caches are named by this
+        hash: it must not drift, or every stored cache goes stale."""
+        from repro import registry
+
+        topo = registry.topology("fattree:k=4")
+        assert topology_content_hash(topo) == (
+            "76206d9af3a32855999c44cce793864dfbb97dd8e6235b36b020c38c438d0624"
+        )
+
+    def test_capacities_flag_covers_capacities(self):
+        a = nx.cycle_graph(6)
+        b = nx.cycle_graph(6)
+        nx.set_edge_attributes(a, 1.0, "capacity")
+        nx.set_edge_attributes(b, 7.5, "capacity")
+        assert topology_content_hash(a, capacities=True) != (
+            topology_content_hash(b, capacities=True)
+        )
+        assert topology_content_hash(a, capacities=True) != (
+            topology_content_hash(a)
+        )
+
 
 class TestSharedRegistry:
     def test_equal_structure_shares_one_cache(self):

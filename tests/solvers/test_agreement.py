@@ -1,7 +1,10 @@
 """Cross-backend agreement on seeded instances (the ISSUE's property test).
 
-``highs-batched`` must be byte-identical to ``highs-exact`` — they share
-one LP implementation, so any drift is a refactoring bug.  ``mcf-approx``
+``highs-batched`` in ``mode=fallback`` must be byte-identical to
+``highs-exact`` — they share one LP implementation, so any drift is a
+refactoring bug.  (With ``highspy`` installed the default mode re-solves
+from simplex bases instead; that path keeps the 1e-9 bound of
+``tests/solvers/test_incremental.py``.)  ``mcf-approx``
 carries the Garg–Könemann guarantee: at accuracy ``epsilon`` the returned
 throughput is within ``(1 - epsilon')`` of optimal for a small
 ``epsilon'`` polynomial in ``epsilon``; we assert the documented
@@ -32,7 +35,7 @@ class TestBackendAgreement:
         topo = build()
         tm = longest_matching_tm(topo, fraction, seed=1)
         exact = max_concurrent_throughput(topo, tm)
-        (batched,) = registry.solver("highs-batched").solve_many(topo, [tm])
+        (batched,) = registry.solver("highs-batched:mode=fallback").solve_many(topo, [tm])
         assert batched.ok
         result = batched.result
         assert result.throughput == exact.throughput
@@ -57,7 +60,7 @@ class TestBackendAgreement:
 def test_batched_solve_many_matches_per_call_across_fractions():
     topo = jellyfish(12, 4, 2, seed=3)
     tms = [longest_matching_tm(topo, f, seed=1) for f in (0.25, 0.5, 0.75, 1.0)]
-    outcomes = registry.solver("highs-batched").solve_many(topo, tms)
+    outcomes = registry.solver("highs-batched:mode=fallback").solve_many(topo, tms)
     for tm, outcome in zip(tms, outcomes):
         exact = max_concurrent_throughput(topo, tm)
         assert outcome.result.throughput == exact.throughput

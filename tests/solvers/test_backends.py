@@ -4,7 +4,6 @@ import pytest
 
 from repro import registry
 from repro.solvers import (
-    HighsBatchedBackend,
     HighsExactBackend,
     HighsPathsBackend,
     McfApproxBackend,
@@ -55,6 +54,12 @@ class TestRegistry:
             registry.solver("highs-paths")
         )
 
+    def test_aliases_report_the_requested_name(self, small):
+        topo, tm = small
+        for name in ("exact", "highs-exact", "highs-batched",
+                     "highs-incremental", "paths"):
+            assert registry.solver(name).solve(topo, tm).backend == name
+
     def test_spec_string_parameters(self):
         backend = registry.solver("mcf-approx:epsilon=0.1")
         assert isinstance(backend, McfApproxBackend)
@@ -80,7 +85,7 @@ class TestRegistry:
             HighsPathsBackend(k=0)
 
     def test_batching_flags(self):
-        assert HighsBatchedBackend.supports_batching
+        assert registry.SOLVERS.get("highs-batched").supports_batching
         assert not HighsExactBackend.supports_batching
         assert not McfApproxBackend.supports_batching
 

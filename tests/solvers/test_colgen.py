@@ -15,14 +15,17 @@ import random
 import pytest
 
 from repro import registry
+from repro.perf import topology_content_hash
 from repro.solvers import (
-    ColgenTopologyContext,
     HighsColgenBackend,
     reset_warm_start_stats,
-    topology_fingerprint,
     warm_start_stats,
 )
-from repro.throughput import max_concurrent_throughput, skew_sweep
+from repro.throughput import (
+    ColgenTopologyContext,
+    max_concurrent_throughput,
+    skew_sweep,
+)
 from repro.throughput.colgen import have_highs_core, path_colgen_throughput
 from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
@@ -160,7 +163,9 @@ def test_capacity_change_forces_fresh_context():
     scaled = copy.deepcopy(topo)
     for _u, _v, data in scaled.graph.edges(data=True):
         data["capacity"] *= 2.0
-    assert topology_fingerprint(topo) != topology_fingerprint(scaled)
+    assert topology_content_hash(topo, capacities=True) != (
+        topology_content_hash(scaled, capacities=True)
+    )
 
     backend = HighsColgenBackend()
     tm = longest_matching_tm(topo, 1.0, seed=1)

@@ -15,15 +15,14 @@ import random
 import pytest
 
 from repro import registry
+from repro.perf import topology_content_hash
 from repro.solvers import (
     HighsIncrementalBackend,
-    IncrementalTopologyContext,
     have_highspy,
     reset_warm_start_stats,
-    topology_fingerprint,
     warm_start_stats,
 )
-from repro.throughput import max_concurrent_throughput, skew_sweep
+from repro.throughput import EdgeLpContext, max_concurrent_throughput, skew_sweep
 from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
 
@@ -110,7 +109,7 @@ def test_varying_support_matches_exact():
     topo = jellyfish(12, 4, 2, seed=3)
     fractions = [0.4, 0.7, 1.0, 0.4, 0.7, 1.0]
     tms = [longest_matching_tm(topo, f, seed=1) for f in fractions]
-    outcomes = HighsIncrementalBackend().solve_many(topo, tms)
+    outcomes = HighsIncrementalBackend(mode="fallback").solve_many(topo, tms)
     for tm, outcome in zip(tms, outcomes):
         exact = max_concurrent_throughput(topo, tm)
         assert outcome.result.throughput == exact.throughput
@@ -121,7 +120,7 @@ def test_varying_support_matches_exact():
 
 def test_topology_change_mid_batch_forces_refactorization():
     """A different topology between calls must rebuild, not reuse."""
-    backend = HighsIncrementalBackend()
+    backend = HighsIncrementalBackend(mode="fallback")
     topo_a = jellyfish(12, 4, 2, seed=3)
     topo_b = xpander(4, 6, 2, seed=0)
     tm_a = longest_matching_tm(topo_a, 1.0, seed=1)
@@ -146,9 +145,11 @@ def test_capacity_change_forces_refactorization():
     scaled = copy.deepcopy(topo)
     for _u, _v, data in scaled.graph.edges(data=True):
         data["capacity"] *= 2.0
-    assert topology_fingerprint(topo) != topology_fingerprint(scaled)
+    assert topology_content_hash(topo, capacities=True) != (
+        topology_content_hash(scaled, capacities=True)
+    )
 
-    backend = HighsIncrementalBackend()
+    backend = HighsIncrementalBackend(mode="fallback")
     tm = longest_matching_tm(topo, 1.0, seed=1)
     cold = backend.solve_many(topo, [tm])
     recap = backend.solve_many(scaled, [tm])
@@ -161,7 +162,7 @@ def test_capacity_change_forces_refactorization():
 def test_warm_false_forces_every_point_cold():
     topo = jellyfish(12, 4, 2, seed=3)
     tm = longest_matching_tm(topo, 1.0, seed=1)
-    backend = HighsIncrementalBackend()
+    backend = HighsIncrementalBackend(mode="fallback")
     outcomes = backend.solve_many(topo, [tm, tm, tm], warm=False)
     assert [o.warm_started for o in outcomes] == [False, False, False]
     assert all(not o.basis_reused for o in outcomes)
@@ -195,7 +196,7 @@ def test_degenerate_conventions_match_backend_contract():
     conventions (cf. tests/throughput/test_bounds.py)."""
     topo = jellyfish(10, 4, 2, seed=5)
     empty = longest_matching_tm(topo, 1.0, seed=1).restricted_to_pairs([])
-    context = IncrementalTopologyContext(topo)
+    context = EdgeLpContext(topo)
     result = context.solve(empty)
     assert result.throughput == float("inf")
     assert result.per_server == 1.0
@@ -221,14 +222,17 @@ def test_registry_exposes_incremental():
 def test_skew_sweep_routes_through_incremental_backend():
     topo = jellyfish(12, 4, 2, seed=3)
     fractions = [0.4, 0.7, 1.0]
-    warm = skew_sweep(topo, fractions, solver="highs-incremental", seed=1)
+    warm = skew_sweep(
+        topo, fractions, solver="highs-incremental:mode=fallback", seed=1
+    )
     exact = skew_sweep(topo, fractions, solver="exact", seed=1)
     assert warm.ok and exact.ok
     assert warm.throughput == exact.throughput
 
     # warm=False is accepted and still exact.
     cold = skew_sweep(
-        topo, fractions, solver="highs-incremental", seed=1, warm=False
+        topo, fractions, solver="highs-incremental:mode=fallback", seed=1,
+        warm=False,
     )
     assert cold.throughput == exact.throughput
 
