@@ -13,8 +13,8 @@ Quick start::
     curl -s -X POST localhost:8070/v1/throughput \\
         -d '{"topology": "xpander:switches=30,degree=8", "fraction": 1.0}'
 
-Endpoints are mounted under the versioned ``/v1`` prefix; the old
-unversioned paths still answer (with a ``Deprecation`` header).  Sweep
+Endpoints are mounted under the versioned ``/v1`` prefix; any other
+path gets a 404 listing the ``/v1`` paths.  Sweep
 campaigns too large for the synchronous ``POST /v1/sweep``, and design
 searches too large for ``POST /v1/design``, go through the async jobs
 layer (:mod:`repro.api.jobs`): ``POST /v1/jobs``, poll

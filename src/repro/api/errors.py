@@ -3,7 +3,7 @@
 Every failure a request can produce is classified into an
 :class:`ApiError` carrying the HTTP status, a stable machine-readable
 ``code``, and structured ``details``, and every error response — 400,
-404, 405, 409, 413, 422, 500 alike — has the same envelope::
+404, 405, 409, 411, 413, 422, 500 alike — has the same envelope::
 
     {"error": {"code": "bad_spec", "message": "...",
                "request_id": "...", "details": {...}},

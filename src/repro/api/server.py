@@ -66,42 +66,71 @@ class _Handler(BaseHTTPRequestHandler):
     workers: Optional[threading.Semaphore] = None
     quiet = True
 
-    def _respond(
-        self,
-        status: int,
-        payload: Dict[str, Any],
-        rid: str,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def _respond(self, status: int, payload: Dict[str, Any], rid: str) -> None:
         body = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", rid)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(
+        self,
+        status: int,
+        code: str,
+        message: str,
+        rid: str,
+        details: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Reply with an error before reading the body, then close.
+
+        The unread body would poison the next keep-alive request on
+        this connection, so the connection is dropped after the reply.
+        """
+        rid = rid or "-"
+        payload = error_payload(
+            status, code, message, details=details, request_id=rid
+        )
+        payload["request_id"] = rid
+        self.close_connection = True
+        self._respond(status, payload, rid)
+
     def _handle(self, method: str) -> None:
         rid = (self.headers.get("X-Request-Id") or "").strip()[:64]
-        length = int(self.headers.get("Content-Length") or 0)
+        if self.headers.get("Transfer-Encoding") is not None:
+            self._refuse(
+                411,
+                "length_required",
+                "request bodies need a Content-Length; "
+                "Transfer-Encoding is not supported",
+                rid,
+            )
+            return
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._refuse(
+                400,
+                "bad_request",
+                f"Content-Length must be a non-negative integer, "
+                f"got {raw_length[:32]!r}",
+                rid,
+            )
+            return
+        length = int(raw_length)
         max_bytes = self.service.max_body_bytes
         if length > max_bytes:
             # Refuse before reading: don't buffer a body we already
             # know we will reject.
-            payload = error_payload(
+            self._refuse(
                 413,
                 "payload_too_large",
                 f"request body is {length} bytes; the limit is {max_bytes}",
+                rid,
                 details={"max_body_bytes": max_bytes},
-                request_id=rid or "-",
             )
-            payload["request_id"] = rid or "-"
-            # The unread body would poison the next keep-alive request
-            # on this connection, so drop the connection after replying.
-            self.close_connection = True
-            self._respond(413, payload, payload["request_id"])
             return
         body = self.rfile.read(length) if length else b""
         gate = self.workers
@@ -109,17 +138,15 @@ class _Handler(BaseHTTPRequestHandler):
             gate.acquire()
         try:
             # The raw path (query string included) goes to the service:
-            # query parsing and /v1 canonicalization are semantics, and
-            # both transports must agree on them.
-            status, payload, headers = self.service.dispatch(
+            # query parsing is semantics, and both transports must
+            # agree on it.
+            status, payload = self.service.dispatch(
                 method, self.path, body, request_id=rid or None
             )
         finally:
             if gate is not None:
                 gate.release()
-        self._respond(
-            status, payload, payload.get("request_id", rid or "-"), headers
-        )
+        self._respond(status, payload, payload.get("request_id", rid or "-"))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._handle("GET")

@@ -35,11 +35,9 @@ Endpoints (all mounted under the versioned ``/v1`` prefix)
   campaigns and ``kind: "design"`` searches; submit, poll
   state/progress, cancel.
 
-Legacy unversioned paths (``/context``, ``/sweep``, …) remain as shims:
-they dispatch to the same handlers but answer with a ``Deprecation:
-true`` header and a ``Link: </v1/...>; rel="successor-version"``
-pointer, and are counted separately in the ``/v1/context`` request
-statistics.
+Any other path, including the unversioned ones of the service's first
+release (``/context``, ``/sweep``, …), gets a 404 ``not_found`` reply
+listing the ``/v1`` paths.
 
 Warm-state semantics: repeated queries naming the same topology spec
 reuse the built topology, its warm solver context (one per topology,
@@ -90,9 +88,9 @@ __all__ = [
 ]
 
 #: Service payload-shape identifier, reported in ``/context``.
-SERVICE_SCHEMA = "repro.api/3"
+SERVICE_SCHEMA = "repro.api/4"
 
-#: Canonical mount point; unversioned paths are deprecated shims.
+#: The one mount point; every endpoint lives under it.
 API_PREFIX = "/v1"
 
 DEFAULT_MAX_BODY_BYTES = 2 * 1024 * 1024
@@ -154,7 +152,6 @@ class ApiService:
         self._counter_lock = threading.Lock()
         self.request_counts: Dict[str, int] = {}
         self.error_counts: Dict[str, int] = {}
-        self.deprecated_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -179,37 +176,27 @@ class ApiService:
         path: str,
         body: Union[bytes, str, Dict[str, Any], None] = None,
         request_id: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Handle one request; returns ``(status, payload, headers)``.
+    ) -> Tuple[int, Dict[str, Any]]:
+        """Handle one request; returns ``(status, payload)``.
 
         Never raises: every failure is classified into the uniform error
         body (see :mod:`repro.api.errors`).  ``body`` may be raw bytes
         (the HTTP server), a str, or an already-parsed mapping (the
         in-process client) — size and JSON validation run on raw forms.
         ``path`` may carry a query string; it is parsed here so both
-        transports agree on semantics.  Requests on legacy unversioned
-        paths are answered by the ``/v1`` handler with a ``Deprecation``
-        header and counted separately.
+        transports agree on semantics.
         """
         rid = (request_id or "").strip()[:64] or uuid.uuid4().hex[:12]
         started = time.perf_counter()
         raw_path, _, raw_query = str(path).partition("?")
         clean = raw_path.rstrip("/") or "/"
-        legacy = clean != "/" and not (
-            clean == API_PREFIX or clean.startswith(API_PREFIX + "/")
-        )
-        canonical = API_PREFIX + clean if legacy else clean
         query = {
             key: values[-1]
             for key, values in urllib.parse.parse_qs(raw_query).items()
         }
-        headers: Dict[str, str] = {}
-        endpoint = f"{method} {self._endpoint_path(canonical)}"
+        endpoint = f"{method} {self._endpoint_path(clean)}"
         try:
-            handler = self._resolve(method, canonical)
-            if legacy:
-                headers["Deprecation"] = "true"
-                headers["Link"] = f'<{canonical}>; rel="successor-version"'
+            handler = self._resolve(method, clean)
             parsed = self._parse_body(body) if method == "POST" else {}
             result = handler(parsed, query)
             if isinstance(result, tuple):
@@ -220,8 +207,8 @@ class ApiService:
             error = classify_exception(exc)
             status, payload = error.status, error.payload(rid)
         payload["request_id"] = rid
-        self._note_request(endpoint, rid, status, started, deprecated=legacy)
-        return status, payload, headers
+        self._note_request(endpoint, rid, status, started)
+        return status, payload
 
     @staticmethod
     def _endpoint_path(path: str) -> str:
@@ -299,7 +286,6 @@ class ApiService:
         rid: str,
         status: int,
         started: float,
-        deprecated: bool = False,
     ) -> None:
         elapsed = time.perf_counter() - started
         with self._counter_lock:
@@ -310,15 +296,9 @@ class ApiService:
                 self.error_counts[endpoint] = (
                     self.error_counts.get(endpoint, 0) + 1
                 )
-            if deprecated:
-                self.deprecated_counts[endpoint] = (
-                    self.deprecated_counts.get(endpoint, 0) + 1
-                )
         obs.add("api.requests")
         if status >= 400:
             obs.add("api.errors")
-        if deprecated:
-            obs.add("api.requests.deprecated")
         run = obs.current()
         if run is not None:
             run.record_span(
@@ -403,7 +383,6 @@ class ApiService:
         with self._counter_lock:
             requests = dict(self.request_counts)
             errors = dict(self.error_counts)
-            deprecated = dict(self.deprecated_counts)
         payload = {
             "service": SERVICE_SCHEMA,
             "api_version": API_PREFIX.lstrip("/"),
@@ -432,7 +411,6 @@ class ApiService:
             "requests": {
                 "by_endpoint": requests,
                 "errors": errors,
-                "deprecated": deprecated,
             },
             "limits": {
                 "max_body_bytes": self.max_body_bytes,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional
 
 from . import registry
@@ -36,7 +35,7 @@ from .cost import (
 )
 from .topologies import fattree_cabling, flat_cabling, xpander_cabling
 
-__all__ = ["main", "build_topology"]
+__all__ = ["main"]
 
 #: Which CLI flags feed each topology family's registry factory.
 _FAMILY_ARGS = {
@@ -60,20 +59,6 @@ def _topology_from_args(kind: str, args: argparse.Namespace):
     if params.get("servers") == 0:
         del params["servers"]  # family default
     return registry.build_topology({"family": kind, **params})
-
-
-def build_topology(kind: str, args: argparse.Namespace):
-    """Deprecated: construct a topology from parsed CLI flags.
-
-    Use :func:`repro.registry.build_topology` with an explicit spec.
-    Returns ``(Topology, FatTree|None)`` as before.
-    """
-    warnings.warn(
-        "cli.build_topology is deprecated; use repro.registry.build_topology",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _topology_from_args(kind, args)
 
 
 def _add_topology_args(p: argparse.ArgumentParser) -> None:

@@ -17,8 +17,8 @@ Two implementations are provided:
   arcs and drops their entries.  Rates are bit-identical to the
   reference (multiplicities are small exact integers, and a frozen
   flow's rate is the same running sum of per-round increments).
-* :func:`max_min_allocation_reference` — the original dict-of-dicts
-  progressive filling, retained as the equivalence oracle for the
+* :func:`_max_min_allocation_reference` — the original dict-of-dicts
+  progressive filling, kept private as the equivalence oracle for the
   property tests and the baseline of the perf bench.
 
 :class:`FairShareState` is the incremental companion used by the
@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "max_min_allocation",
-    "max_min_allocation_reference",
     "FairShareState",
 ]
 
@@ -43,7 +42,7 @@ __all__ = [
 _SATURATION_EPS = 1e-12
 
 
-def max_min_allocation_reference(
+def _max_min_allocation_reference(
     flow_paths: Dict[Hashable, Sequence[Tuple[int, int]]],
     capacities: Dict[Tuple[int, int], float],
 ) -> Dict[Hashable, float]:

@@ -94,7 +94,7 @@ class ExperimentSpec:
         batching-capable solver on a shared topology are solved through
         one ``solve_many`` batch by the Runner.
     routing:
-        Routing policy name (packet engine: any ``make_routing`` name;
+        Routing policy name (packet engine: any ``registry.ROUTINGS`` name;
         flow engine: ``ecmp``/``vlb``/``hyb``).  Ignored by ``lp``.
     engine:
         ``packet`` (discrete-event), ``flow`` (fluid max-min), or

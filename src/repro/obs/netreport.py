@@ -1,8 +1,8 @@
 """Network telemetry: link-level reports, emitted onto the obs sink.
 
-Absorbs what used to live in ``repro.sim.telemetry``: aggregating the
-per-link counters the :class:`~repro.sim.link.Link` objects accumulate —
-utilization, peak queue, ECN marks, drops — into a network-wide report.
+Aggregates the per-link counters the :class:`~repro.sim.link.Link`
+objects accumulate — utilization, peak queue, ECN marks, drops — into a
+network-wide report.
 Useful for diagnosing *where* a routing scheme bottlenecks (e.g.
 confirming that ECMP's two-adjacent-rack pathology is a single saturated
 direct link, §6.1).

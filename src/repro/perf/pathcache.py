@@ -448,8 +448,8 @@ def invalidate_shared_cache(graph_or_topology) -> int:
     """Drop the shared entries for one topology; returns how many.
 
     Called when a topology is degraded: any cache keyed on the degraded
-    graph's content hash (e.g. from a graph that was mutated in place
-    through the deprecated ``fail_*`` path) is discarded so distance
+    graph's content hash (e.g. from a graph that was mutated in place)
+    is discarded so distance
     matrices, ECMP tables, and path sets are rebuilt against the actual
     degraded structure on next use.
     """

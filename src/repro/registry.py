@@ -1,9 +1,8 @@
 """Unified string-spec construction registry: topologies, traffic, routing.
 
 One discovery-and-construction surface for the objects experiments are
-built from, replacing the per-module if/elif chains (``cli``'s topology
-dispatch, the harness's family switch, ``make_routing``'s dict).  Each
-family of objects lives in a :class:`Registry` keyed by name:
+built from.  Each family of objects lives in a :class:`Registry` keyed
+by name:
 
 * :data:`TOPOLOGIES` — ``fattree``, ``jellyfish``, ``xpander``,
   ``slimfly``, ``longhop``.  Factories return the family's natural

@@ -13,9 +13,9 @@ Modes
 -----
 ``links`` / ``switches``
     Uniform-random failures — the Jellyfish/Xpander resilience ablation.
-    Select by ``fraction`` (replicating the historical RNG sequence of
-    ``random_link_failures`` / ``random_switch_failures`` bit-for-bit),
-    by ``count``, or by naming elements explicitly.
+    Select by ``fraction`` (the historical RNG sequence, pinned by
+    ``tests/resilience/test_failure_selection.py`` so cached results stay
+    reproducible), by ``count``, or by naming elements explicitly.
 ``pods`` / ``aggregation``
     Correlated fat-tree failures: whole-pod wipeout (a pod's aggregation
     *and* edge switches die — the paper's "fat-trees lose subtrees"
@@ -273,13 +273,13 @@ class FailureScenario:
         if self.mode == "links":
             if self.links is not None:
                 return self.links, ()
-            # Exact historical RNG sequence of random_link_failures.
+            # Historical RNG sequence: sample the sorted edge list.
             edges = sorted(tuple(sorted(e)) for e in g.edges())
             return tuple(rng.sample(edges, self._resolve_count(len(edges)))), ()
         if self.mode == "switches":
             if self.switches is not None:
                 return (), self.switches
-            # Exact historical RNG sequence of random_switch_failures.
+            # Historical RNG sequence: sample the switch list.
             switches = topology.switches
             count = self._resolve_count(len(switches))
             return (), tuple(rng.sample(switches, count))

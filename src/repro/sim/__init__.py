@@ -18,7 +18,6 @@ from .routing import (
 from .simulation import (
     ROUTING_CHOICES,
     PacketSimulation,
-    make_routing,
     run_packet_experiment,
 )
 from .stats import SHORT_FLOW_BYTES, FlowRecord, FlowStats, percentile
@@ -54,7 +53,6 @@ __all__ = [
     "SimulatedNetwork",
     "PacketSimulation",
     "run_packet_experiment",
-    "make_routing",
     "ROUTING_CHOICES",
     "MptcpFlow",
     "LinkStats",

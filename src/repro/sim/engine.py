@@ -109,73 +109,6 @@ class Engine:
         Stops when the heap is empty, the next event is beyond ``until``,
         or ``max_events`` have been processed.  Returns the number of
         events processed by this call.
-
-        The loop pops unconditionally and pushes back the one event that
-        overruns the horizon — one sifting heap operation per event on
-        the common path instead of a peek + pop — and dispatches runs of
-        same-timestamp events without re-checking the horizon.
-        Semantics are identical to :meth:`run_reference` (the retained
-        pre-optimization loop): same callback order, same clock values,
-        same cancellation accounting.
-        """
-        processed = 0
-        heap = self._heap
-        no_arg = _NO_ARG
-        pop = heapq.heappop
-        push = heapq.heappush
-        done = False
-        while heap and not done:
-            entry = pop(heap)
-            t, _, callback, arg, handle = entry
-            if until is not None and t > until:
-                push(heap, entry)
-                break
-            while True:
-                # Three-way branch keeps the overwhelmingly common
-                # plain-event case at a single handle check.
-                if handle is None:
-                    self.now = t
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
-                        done = True
-                        break
-                elif handle.cancelled:
-                    self._cancelled -= 1
-                else:
-                    handle._fired = True
-                    self.now = t
-                    if arg is no_arg:
-                        callback()
-                    else:
-                        callback(arg)
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
-                        done = True
-                        break
-                # Same-timestamp batch: callbacks at t may have scheduled
-                # more work at t; the seq tie-break keeps dispatch FIFO,
-                # and an equal timestamp can never overrun the horizon.
-                if heap and heap[0][0] == t:
-                    t, _, callback, arg, handle = pop(heap)
-                else:
-                    break
-        if until is not None and (not heap or heap[0][0] > until):
-            self.now = max(self.now, until)
-        self._processed += processed
-        return processed
-
-    def run_reference(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> int:
-        """The pre-optimization event loop, kept as a semantics oracle.
-
-        Byte-identical behaviour to :meth:`run` (determinism tests pin
-        this); peeks before every pop and re-checks the horizon per
-        event, which is what the optimized loop avoids.
         """
         processed = 0
         heap = self._heap

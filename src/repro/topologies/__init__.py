@@ -26,11 +26,7 @@ from .dynamic import (
 from .failures import (
     DegradedTopology,
     degrade_topology,
-    fail_links,
-    fail_switches,
     largest_connected_component,
-    random_link_failures,
-    random_switch_failures,
 )
 from .fattree import FatTree, fattree, oversubscribed_fattree
 from .jellyfish import (
@@ -62,10 +58,6 @@ __all__ = [
     "BUNDLING_DISCOUNT",
     "DegradedTopology",
     "degrade_topology",
-    "fail_links",
-    "fail_switches",
-    "random_link_failures",
-    "random_switch_failures",
     "largest_connected_component",
     "TopologyProperties",
     "analyze",

@@ -12,16 +12,11 @@ can see that — and how — a failure happened.
 
 Selection policy (random fractions, correlated pod/meta-node wipeouts,
 bisection cuts) lives in :mod:`repro.resilience.scenario`; the idiomatic
-entry point is ``topology.degrade(scenario)``.  The historical free
-functions (``fail_links``, ``fail_switches``, ``random_link_failures``,
-``random_switch_failures``) remain as :class:`DeprecationWarning` shims
-that delegate to the scenario machinery and are pinned bit-for-bit
-against it by ``tests/resilience/test_shims.py``.
+entry point is ``topology.degrade(scenario)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
@@ -32,10 +27,6 @@ from .base import Topology, TopologyError
 __all__ = [
     "DegradedTopology",
     "degrade_topology",
-    "fail_links",
-    "fail_switches",
-    "random_link_failures",
-    "random_switch_failures",
     "largest_connected_component",
 ]
 
@@ -54,8 +45,8 @@ class DegradedTopology(Topology):
         The switches (and their servers) removed, sorted.
     scenario:
         The :class:`~repro.resilience.FailureScenario` that selected the
-        failures (``None`` when elements were named explicitly through
-        the deprecated free functions).
+        failures (``None`` when :func:`degrade_topology` was called
+        without one).
     base_switches / base_links / base_servers:
         Size of the *original* (pre-degradation) topology, preserved
         across chained degradations and LCC restriction so retention
@@ -138,13 +129,13 @@ def degrade_topology(
 ) -> DegradedTopology:
     """Remove the given cables and switches; record what was lost.
 
-    The workhorse behind :meth:`FailureScenario.apply` and the deprecated
-    ``fail_*`` shims.  Exactly mirrors their historical semantics: a
-    missing link or switch raises :class:`TopologyError` (failing the
-    same element twice is a selection bug, not a degraded network), as
-    does removing every switch.  The name suffix — ``-swfail(N)`` when
-    switches fail, else ``-linkfail(N)`` — is part of the bit-for-bit
-    shim-equivalence contract.
+    The workhorse behind :meth:`FailureScenario.apply`.  A missing link
+    or switch raises :class:`TopologyError` (failing the same element
+    twice is a selection bug, not a degraded network), as does removing
+    every switch.  The name suffix — ``-swfail(N)`` when switches fail,
+    else ``-linkfail(N)`` — is pinned by
+    ``tests/resilience/test_failure_selection.py``, so cached results
+    stay reproducible.
     """
     base_sw, base_ln, base_srv = _base_counts(topology)
     suffix = (
@@ -227,70 +218,3 @@ def largest_connected_component(topology: Topology) -> Topology:
         graph=g,
         servers_per_switch=servers,
     )
-
-
-# ----------------------------------------------------------------------
-# Deprecated free functions (shims over the scenario machinery)
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def fail_links(
-    topology: Topology, links: Sequence[Tuple[int, int]]
-) -> Topology:
-    """Deprecated: a copy of ``topology`` with the given cables removed.
-
-    Use ``topology.degrade(FailureScenario(mode="links", links=...))``.
-    """
-    _deprecated(
-        "fail_links", 'Topology.degrade(FailureScenario(mode="links", ...))'
-    )
-    return degrade_topology(topology, links=links)
-
-
-def fail_switches(topology: Topology, switches: Sequence[int]) -> Topology:
-    """Deprecated: a copy of ``topology`` with the given switches (and
-    their servers) removed.
-
-    Use ``topology.degrade(FailureScenario(mode="switches", switches=...))``.
-    """
-    _deprecated(
-        "fail_switches",
-        'Topology.degrade(FailureScenario(mode="switches", ...))',
-    )
-    return degrade_topology(topology, switches=switches)
-
-
-def random_link_failures(
-    topology: Topology, fraction: float, seed: int = 0
-) -> Topology:
-    """Deprecated: fail a uniform-random ``fraction`` of the cables.
-
-    Use ``topology.degrade(f"links:fraction={fraction},seed={seed}")``.
-    """
-    _deprecated("random_link_failures", 'Topology.degrade("links:...")')
-    from ..resilience import FailureScenario
-
-    return FailureScenario(mode="links", fraction=fraction, seed=seed).apply(
-        topology
-    )
-
-
-def random_switch_failures(
-    topology: Topology, fraction: float, seed: int = 0
-) -> Topology:
-    """Deprecated: fail a uniform-random ``fraction`` of the switches.
-
-    Use ``topology.degrade(f"switches:fraction={fraction},seed={seed}")``.
-    """
-    _deprecated("random_switch_failures", 'Topology.degrade("switches:...")')
-    from ..resilience import FailureScenario
-
-    return FailureScenario(
-        mode="switches", fraction=fraction, seed=seed
-    ).apply(topology)

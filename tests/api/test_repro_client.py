@@ -49,7 +49,7 @@ class TestTypedResults:
     def test_context(self, facade):
         ctx = facade.context()
         assert isinstance(ctx, ServiceContext)
-        assert ctx.service == "repro.api/3"
+        assert ctx.service == "repro.api/4"
         assert ctx.api_version == "v1"
         assert "topologies" in ctx.registries
         assert ctx.raw["endpoints"]

@@ -169,3 +169,76 @@ def test_keepalive_requests_do_not_wait_for_delayed_ack(client):
             assert resp.json["results"][0]["cached"] is True
     for kind, values in timings.items():
         assert statistics.median(values) < 0.015, (kind, values)
+
+
+def _raw_exchange(server, request: bytes):
+    """Send raw bytes, read until the server closes the connection, and
+    split off the first response: ``(status, headers, json_body, rest)``.
+
+    A server that never replies (or never closes) fails the socket
+    timeout instead of hanging the suite.
+    """
+    with socket.create_connection((server.host, server.port), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            try:
+                data = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not data:
+                break
+            chunks.append(data)
+    raw = b"".join(chunks)
+    head, sep, tail = raw.partition(b"\r\n\r\n")
+    assert sep, f"no complete response: {raw!r}"
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in header_lines)
+    }
+    length = int(headers["content-length"])
+    return (
+        int(status_line.split()[1]),
+        headers,
+        json.loads(tail[:length]),
+        tail[length:],
+    )
+
+
+def _post_head(extra: str) -> bytes:
+    return (
+        "POST /v1/throughput HTTP/1.1\r\n"
+        "Host: test\r\nContent-Type: application/json\r\n"
+        f"{extra}\r\n"
+    ).encode()
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_content_length_gets_400(server, value):
+    """A Content-Length that is not a non-negative integer is refused
+    with the JSON envelope and the connection is closed (no traceback,
+    no read to EOF)."""
+    body = json.dumps({"topology": JELLYFISH}).encode()
+    status, headers, payload, rest = _raw_exchange(
+        server, _post_head(f"Content-Length: {value}\r\n") + body
+    )
+    assert status == 400
+    assert payload["error"]["code"] == "bad_request"
+    assert headers["content-type"] == "application/json"
+    assert headers["connection"] == "close"
+    assert rest == b""
+
+
+def test_chunked_body_gets_411(server):
+    """A Transfer-Encoding body is refused with 411 before any of it is
+    read, and the chunk bytes are never parsed as a second request."""
+    body = json.dumps({"topology": JELLYFISH}).encode()
+    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+    status, headers, payload, rest = _raw_exchange(
+        server, _post_head("Transfer-Encoding: chunked\r\n") + chunked
+    )
+    assert status == 411
+    assert payload["error"]["code"] == "length_required"
+    assert headers["connection"] == "close"
+    assert rest == b""

@@ -35,7 +35,7 @@ def test_healthz(client):
 
 def test_context_manifest(client):
     ctx = client.context()
-    assert ctx.service == "repro.api/3"
+    assert ctx.service == "repro.api/4"
     assert ctx.library_version == repro.__version__
     assert ctx.raw["spec_hash_version"] == repro.SPEC_HASH_VERSION
     for registry_name in ("topologies", "traffic", "routings", "failures",

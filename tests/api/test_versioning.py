@@ -1,10 +1,9 @@
-"""The /v1 mount and the legacy-path deprecation shims.
+"""The /v1 mount: the service's one URL space.
 
-Every endpooint lives canonically under ``/v1``; the unversioned paths
-from the service's first release keep answering — same handler, same
-payload — but carry a ``Deprecation: true`` header plus a ``Link``
-pointing at the successor, and are tallied separately so operators can
-see who still uses them.
+Every endpoint lives under ``/v1``.  The unversioned paths of the
+service's first release get the same 404 ``not_found`` reply as any
+other unknown path, listing the ``/v1`` paths, with no ``Deprecation``
+header.
 """
 
 import pytest
@@ -18,40 +17,32 @@ def client():
     return InProcessClient(ApiService())
 
 
+def _assert_unversioned_404(resp):
+    assert resp.status == 404
+    assert resp.json["error"]["code"] == "not_found"
+    paths = resp.json["error"]["details"]["paths"]
+    assert "/v1/healthz" in paths
+    assert all(p.startswith("/v1/") for p in paths)
+    assert "Deprecation" not in resp.headers
+
+
 def test_v1_paths_are_canonical(client):
     resp = client.get("/v1/healthz").raise_for_status()
     assert "Deprecation" not in resp.headers
 
 
-def test_legacy_path_answers_with_deprecation_header(client):
-    legacy = client.get("/healthz").raise_for_status()
-    assert legacy.headers["Deprecation"] == "true"
-    assert legacy.headers["Link"] == '</v1/healthz>; rel="successor-version"'
-    assert legacy.json["ok"] is True
-
-
-def test_legacy_post_reaches_same_handler(client):
-    body = {"topology": "jellyfish:switches=10,degree=4,servers=2"}
-    legacy = client.post("/throughput", dict(body)).raise_for_status()
-    v1 = client.post("/v1/throughput", dict(body)).raise_for_status()
-    assert legacy.headers["Deprecation"] == "true"
-    assert (
-        legacy.json["results"][0]["per_server_throughput"]
-        == v1.json["results"][0]["per_server_throughput"]
+def test_unversioned_paths_are_not_found(client):
+    _assert_unversioned_404(client.get("/healthz"))
+    _assert_unversioned_404(
+        client.post("/throughput", {"topology": "fattree:k=4"})
     )
+    requests = client.get("/v1/context").json["requests"]
+    assert set(requests) == {"by_endpoint", "errors"}
 
 
 def test_trailing_slash_normalized(client):
     assert client.get("/v1/healthz/").status == 200
-    assert client.get("/healthz/").headers.get("Deprecation") == "true"
-
-
-def test_deprecated_requests_counted_separately(client):
-    client.get("/healthz")
-    client.get("/v1/healthz")
-    requests = client.get("/v1/context").json["requests"]
-    assert requests["deprecated"].get("GET /v1/healthz") == 1
-    assert requests["by_endpoint"]["GET /v1/healthz"] >= 2
+    assert client.get("/healthz/").status == 404
 
 
 def test_context_registry_filter(client):
@@ -87,12 +78,11 @@ def test_404_lists_v1_paths(client):
     assert "/v1/jobs/<id>" in paths
 
 
-def test_deprecation_header_over_the_wire():
+def test_unversioned_paths_are_not_found_over_the_wire():
     with ApiServer(ApiService(), port=0) as server:
         http = HttpClient(server.host, server.port)
         try:
-            legacy = http.get("/healthz").raise_for_status()
-            assert legacy.headers["Deprecation"] == "true"
+            _assert_unversioned_404(http.get("/healthz"))
             v1 = http.get("/v1/healthz").raise_for_status()
             assert "Deprecation" not in v1.headers
             # DELETE is wired through the HTTP front end too.

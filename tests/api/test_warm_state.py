@@ -35,7 +35,7 @@ def _counter(name):
 def test_second_request_hits_warm_state_via_obs_counters(client):
     with obs.session():
         first = client.post(
-            "/throughput", {"topology": JELLYFISH, "fraction": 1.0}
+            "/v1/throughput", {"topology": JELLYFISH, "fraction": 1.0}
         ).raise_for_status()
         assert first.json["warm"]["topology"] == "miss"
         assert first.json["warm"]["context"] == "miss"
@@ -45,7 +45,7 @@ def test_second_request_hits_warm_state_via_obs_counters(client):
         # Different fraction: skips the result memo, so the solve runs
         # again — against every warm layer.
         second = client.post(
-            "/throughput", {"topology": JELLYFISH, "fraction": 0.5}
+            "/v1/throughput", {"topology": JELLYFISH, "fraction": 0.5}
         ).raise_for_status()
         assert second.json["warm"]["topology"] == "hit"
         assert second.json["warm"]["context"] == "hit"
@@ -57,8 +57,8 @@ def test_second_request_hits_warm_state_via_obs_counters(client):
 
 def test_identical_request_served_from_result_memo(client):
     body = {"topology": JELLYFISH, "fraction": 0.8}
-    first = client.post("/throughput", dict(body)).raise_for_status()
-    second = client.post("/throughput", dict(body)).raise_for_status()
+    first = client.post("/v1/throughput", dict(body)).raise_for_status()
+    second = client.post("/v1/throughput", dict(body)).raise_for_status()
     assert first.json["results"][0]["cached"] is False
     assert second.json["results"][0]["cached"] is True
     assert second.json["warm"]["results_cached"] == 1
@@ -70,8 +70,8 @@ def test_identical_request_served_from_result_memo(client):
 
 def test_cold_mode_bypasses_every_warm_layer(client):
     body = {"topology": JELLYFISH, "warm": False}
-    first = client.post("/throughput", dict(body)).raise_for_status()
-    second = client.post("/throughput", dict(body)).raise_for_status()
+    first = client.post("/v1/throughput", dict(body)).raise_for_status()
+    second = client.post("/v1/throughput", dict(body)).raise_for_status()
     for resp in (first, second):
         assert resp.json["warm"]["enabled"] is False
         assert resp.json["warm"]["topology"] == "miss"
@@ -84,10 +84,10 @@ def test_cold_mode_bypasses_every_warm_layer(client):
 
 def test_warm_and_cold_agree(client):
     warm = client.post(
-        "/throughput", {"topology": JELLYFISH}
+        "/v1/throughput", {"topology": JELLYFISH}
     ).raise_for_status()
     cold = client.post(
-        "/throughput", {"topology": JELLYFISH, "warm": False}
+        "/v1/throughput", {"topology": JELLYFISH, "warm": False}
     ).raise_for_status()
     assert warm.json["results"][0]["per_server_throughput"] == pytest.approx(
         cold.json["results"][0]["per_server_throughput"]
@@ -96,8 +96,8 @@ def test_warm_and_cold_agree(client):
 
 
 def test_context_reports_cache_stats(client):
-    client.post("/throughput", {"topology": JELLYFISH}).raise_for_status()
-    caches = client.get("/context").raise_for_status().json["caches"]
+    client.post("/v1/throughput", {"topology": JELLYFISH}).raise_for_status()
+    caches = client.get("/v1/context").raise_for_status().json["caches"]
     assert caches["topologies"]["entries"] == 1
     assert caches["solver_contexts"]["entries"] == 1
     assert caches["results"]["entries"] == 1
@@ -106,10 +106,10 @@ def test_context_reports_cache_stats(client):
 
 def test_failures_key_separates_warm_entries(client):
     healthy = client.post(
-        "/throughput", {"topology": JELLYFISH}
+        "/v1/throughput", {"topology": JELLYFISH}
     ).raise_for_status()
     degraded = client.post(
-        "/throughput",
+        "/v1/throughput",
         {"topology": JELLYFISH, "failures": "links:fraction=0.1,seed=3"},
     )
     assert degraded.json["warm"]["topology"] == "miss"
@@ -153,7 +153,7 @@ def test_incremental_contexts_survive_across_requests(client):
     reset_warm_start_stats()
     with obs.session():
         first = client.post(
-            "/throughput",
+            "/v1/throughput",
             {"topology": JELLYFISH, "solver": "highs-incremental",
              "fraction": 1.0, "seed": 1},
         ).raise_for_status()
@@ -165,7 +165,7 @@ def test_incremental_contexts_survive_across_requests(client):
         # Different demand (scaled), same support: a warm re-solve off
         # the model the *previous request* built.
         second = client.post(
-            "/throughput",
+            "/v1/throughput",
             {"topology": JELLYFISH, "solver": "highs-incremental",
              "fraction": 1.0, "seed": 1, "per_server_demand": 0.5},
         ).raise_for_status()
@@ -173,7 +173,7 @@ def test_incremental_contexts_survive_across_requests(client):
         assert _counter("api.context.hits") == 1
 
     exact = client.post(
-        "/throughput",
+        "/v1/throughput",
         {"topology": JELLYFISH, "solver": "highs-exact", "fraction": 1.0,
          "seed": 1},
     ).raise_for_status()
@@ -188,11 +188,11 @@ def test_context_surfaces_warm_start_counters_and_incremental_stats(client):
     reset_warm_start_stats()
     for fraction in (0.5, 1.0, 0.5):
         client.post(
-            "/throughput",
+            "/v1/throughput",
             {"topology": JELLYFISH, "solver": "highs-incremental",
              "fraction": fraction, "seed": 2},
         ).raise_for_status()
-    caches = client.get("/context").raise_for_status().json["caches"]
+    caches = client.get("/v1/context").raise_for_status().json["caches"]
     warm_start = caches["warm_start"]
     assert warm_start["models_built"] >= 1
     assert warm_start["miss"] >= 1
@@ -211,7 +211,7 @@ def test_context_surfaces_warm_start_counters_and_incremental_stats(client):
 def test_incremental_cold_bypass(client):
     body = {"topology": JELLYFISH, "solver": "highs-incremental",
             "warm": False}
-    resp = client.post("/throughput", dict(body)).raise_for_status()
+    resp = client.post("/v1/throughput", dict(body)).raise_for_status()
     assert resp.json["warm"]["enabled"] is False
     assert resp.json["results"][0]["warm_started"] is False
     assert resp.json["results"][0]["basis_reused"] is False
@@ -227,7 +227,7 @@ def test_concurrent_requests_share_one_warm_entry(client):
     def worker(i):
         barrier.wait(timeout=10)
         resp = client.post(
-            "/throughput",
+            "/v1/throughput",
             {"topology": JELLYFISH, "fraction": 0.2 + 0.2 * i},
         )
         with lock:

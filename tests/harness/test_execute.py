@@ -3,39 +3,39 @@
 import pytest
 
 from repro.harness import ExperimentSpec, SpecError
-from repro.harness.execute import build_topology, execute_spec
+from repro.harness.execute import _build_topology, execute_spec
 
 
 class TestBuildTopology:
     def test_fattree(self):
-        topo = build_topology({"family": "fattree", "k": 4})
+        topo = _build_topology({"family": "fattree", "k": 4})
         assert topo.num_servers == 16
 
     def test_oversubscribed_fattree(self):
-        full = build_topology({"family": "fattree", "k": 4})
-        halved = build_topology(
+        full = _build_topology({"family": "fattree", "k": 4})
+        halved = _build_topology(
             {"family": "fattree", "k": 4, "core_fraction": 0.5}
         )
         assert halved.num_links < full.num_links
 
     def test_jellyfish(self):
-        topo = build_topology({"family": "jellyfish", "switches": 10,
-                               "degree": 4, "servers": 2, "seed": 3})
+        topo = _build_topology({"family": "jellyfish", "switches": 10,
+                                "degree": 4, "servers": 2, "seed": 3})
         assert topo.num_switches == 10
         assert topo.num_servers == 20
 
     def test_xpander(self):
-        topo = build_topology({"family": "xpander", "degree": 4, "lift": 5,
-                               "servers": 2})
+        topo = _build_topology({"family": "xpander", "degree": 4, "lift": 5,
+                                "servers": 2})
         assert topo.num_switches == 25
 
     def test_unknown_family(self):
         with pytest.raises(SpecError, match="torus"):
-            build_topology({"family": "torus"})
+            _build_topology({"family": "torus"})
 
     def test_extra_parameters_rejected(self):
         with pytest.raises(SpecError, match="lift"):
-            build_topology({"family": "fattree", "k": 4, "lift": 5})
+            _build_topology({"family": "fattree", "k": 4, "lift": 5})
 
 
 class TestEngines:

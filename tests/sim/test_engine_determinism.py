@@ -1,10 +1,11 @@
-"""The optimized event loop is a pure refactoring of the reference loop.
+"""The event loop's semantics, pinned as literals.
 
-``Engine.run`` (pop-then-reschedule, hoisted heap ops, same-timestamp
-batching) must be byte-identical in behaviour to ``Engine.run_reference``
-(the retained pre-optimization loop): same callback order, same clock
-values, same cancellation accounting — proven here both on adversarial
-micro-scenarios and on full packet-simulation metrics.
+``Engine.run`` is the engine's one event loop (peek, then pop; the
+horizon is re-checked per event).  The literals below were captured
+when a second, batched loop still existed and both agreed on them:
+callback order, clock values, per-call counts, cancellation accounting
+and full packet-simulation metrics.  Any change to the loop must keep
+them.
 
 Also the `schedule_at` regression: scheduling in the past must raise a
 ``ValueError`` that talks about the absolute ``when`` the caller passed,
@@ -13,7 +14,7 @@ not the internally derived ``delay``.
 
 import pytest
 
-from repro.sim import Engine, NetworkParams, run_packet_experiment
+from repro.sim import Engine, FlowRecord, NetworkParams, run_packet_experiment
 from repro.topologies import fattree
 from repro.traffic import FlowSpec
 
@@ -41,7 +42,7 @@ class TestScheduleAtRegression:
         assert seen == [1.0]
 
 
-def _scripted_run(run_method):
+def _scripted_run():
     """An adversarial scenario: ties, nested scheduling at the current
     timestamp, cancellations (some mid-run), horizons, max_events."""
     e = Engine()
@@ -49,7 +50,7 @@ def _scripted_run(run_method):
 
     def tick(tag):
         log.append((tag, e.now))
-        if tag == "a":  # same-timestamp nested work: joins the batch
+        if tag == "a":  # same-timestamp nested work: runs at the same time
             e.schedule(0.0, tick, "a-child")
         if tag == "b":
             handle_late.cancel()  # cancel an event already in the heap
@@ -62,32 +63,36 @@ def _scripted_run(run_method):
     handle_early.cancel()
 
     processed = []
-    processed.append(run_method(e, until=0.1))
-    processed.append(run_method(e, until=0.2))
+    processed.append(e.run(until=0.1))
+    processed.append(e.run(until=0.2))
     e.schedule(0.05, tick, "d")
-    processed.append(run_method(e, max_events=1))
-    processed.append(run_method(e))
+    processed.append(e.run(max_events=1))
+    processed.append(e.run())
     log.append(("end", e.now))
     return log, processed, e.events_processed, e.pending
 
 
 def test_scripted_scenario_identical():
-    optimized = _scripted_run(lambda e, **kw: Engine.run(e, **kw))
-    reference = _scripted_run(lambda e, **kw: Engine.run_reference(e, **kw))
-    assert optimized == reference
+    log, processed, events_processed, pending = _scripted_run()
+    assert log == [
+        ("a", 0.1), ("b", 0.1), ("a-child", 0.1), ("d", 0.25), ("c", 0.3),
+        ("end", 0.3),
+    ]
+    assert processed == [3, 0, 1, 1]
+    assert events_processed == 5
+    assert pending == 0
 
 
 def test_empty_and_horizon_only_runs_identical():
-    for runner in (Engine.run, Engine.run_reference):
-        e = Engine()
-        assert runner(e) == 0
-        assert runner(e, until=2.0) == 0
-        assert e.now == 2.0  # clock advances to the horizon
+    e = Engine()
+    assert e.run() == 0
+    assert e.run(until=2.0) == 0
+    assert e.now == 2.0  # clock advances to the horizon
+    assert e.events_processed == 0
+    assert e.pending == 0
 
 
-def _packet_metrics(monkeypatch, use_reference):
-    if use_reference:
-        monkeypatch.setattr(Engine, "run", Engine.run_reference)
+def _packet_metrics():
     topo = fattree(4).topology
     flows = [
         FlowSpec(i, src, dst, 30_000 + 1000 * i, 0.0001 * i)
@@ -103,13 +108,30 @@ def _packet_metrics(monkeypatch, use_reference):
     return stats.records, stats.summary()
 
 
-def test_packet_simulation_metrics_byte_identical(monkeypatch):
-    """End-to-end determinism: full per-flow records and the summary are
-    equal, field for field, between the two loops."""
-    with monkeypatch.context() as m:
-        ref_records, ref_summary = _packet_metrics(m, use_reference=True)
-    opt_records, opt_summary = _packet_metrics(monkeypatch, use_reference=False)
-    assert opt_records == ref_records
-    # repr-compare: equal apart from NaN placeholders (nan != nan), which
-    # must still appear in exactly the same slots.
-    assert repr(opt_summary) == repr(ref_summary)
+#: ``(flow_id, src, dst, size_bytes, start_time, completion_time)``.
+_PACKET_RECORDS = [
+    (0, 0, 15, 30000, 0.0, 0.000334824),
+    (1, 1, 14, 31000, 0.0001, 0.00048469599999999985),
+    (2, 2, 13, 32000, 0.0002, 0.0005933583999999998),
+    (3, 3, 12, 33000, 0.00030000000000000003, 0.0006856303999999998),
+    (4, 4, 11, 34000, 0.0004, 0.0007848463999999998),
+    (5, 5, 10, 35000, 0.0005, 0.0009555663999999997),
+    (6, 8, 7, 36000, 0.0006000000000000001, 0.0010163296),
+    (7, 9, 6, 37000, 0.0007, 0.0012028415999999998),
+]
+
+
+def test_packet_simulation_metrics_byte_identical():
+    """End-to-end determinism: full per-flow records and the summary
+    equal the pinned values, float for float."""
+    records, summary = _packet_metrics()
+    assert records == [FlowRecord(*fields) for fields in _PACKET_RECORDS]
+    # repr-compare: the NaN placeholder (nan != nan) must still appear
+    # in exactly the same slot.
+    assert repr(summary) == repr({
+        "flows": 8,
+        "unfinished": 0,
+        "avg_fct_ms": 0.4072615999999998,
+        "short_p99_fct_ms": 0.5028415999999999,
+        "long_avg_throughput_gbps": float("nan"),
+    })

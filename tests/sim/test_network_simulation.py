@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import registry
 from repro.sim import NetworkParams, PacketSimulation, run_packet_experiment
-from repro.sim.simulation import ROUTING_CHOICES, make_routing
+from repro.sim.simulation import ROUTING_CHOICES
 from repro.topologies import fattree, xpander
 from repro.traffic import FlowSpec
 
@@ -35,7 +36,7 @@ class TestNetworkBuild:
 
     def test_make_routing_rejects_unknown(self, ft):
         with pytest.raises(ValueError) as exc_info:
-            make_routing("bogus", ft)
+            registry.routing("bogus", ft)
         message = str(exc_info.value)
         assert "'bogus'" in message
         for choice in ROUTING_CHOICES:

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sim.mptcp import MptcpFlow
 from repro.throughput.adversarial import random_hose_tm
-from repro.topologies import (
-    FloorPlan,
-    largest_connected_component,
-    random_link_failures,
-    xpander,
-)
+from repro.topologies import FloorPlan, largest_connected_component, xpander
 
 slow_settings = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -28,7 +23,7 @@ class TestFailureProperties:
     )
     def test_link_failures_remove_exact_count(self, fraction, seed):
         xp = xpander(4, 5, 2)
-        degraded = random_link_failures(xp, fraction, seed=seed)
+        degraded = xp.degrade(f"links:fraction={fraction},seed={seed}")
         assert degraded.num_links == xp.num_links - round(fraction * xp.num_links)
         # Node set unchanged (only switch failures remove nodes).
         assert set(degraded.graph.nodes()) == set(xp.graph.nodes())
@@ -37,7 +32,7 @@ class TestFailureProperties:
     @given(seed=st.integers(min_value=0, max_value=500))
     def test_lcc_always_connected(self, seed):
         xp = xpander(3, 4, 2)
-        degraded = random_link_failures(xp, 0.45, seed=seed)
+        degraded = xp.degrade(f"links:fraction=0.45,seed={seed}")
         lcc = largest_connected_component(degraded)
         assert lcc.is_connected()
         assert lcc.num_switches <= xp.num_switches

@@ -1,10 +1,10 @@
-"""The public API surface: explicit ``__all__`` everywhere, and shims warn.
+"""The public API surface: explicit ``__all__`` everywhere, and retired
+names stay gone.
 
 Every module under :mod:`repro` (except the ``__main__`` entry script)
 must declare ``__all__``; every listed name must exist; and no public
-non-module attribute may leak outside ``__all__``.  Legacy entry points
-retired by the registry/observability redesign must keep working but
-emit :class:`DeprecationWarning`.
+non-module attribute may leak outside ``__all__``.  The deprecation
+shims retired in 3.0.0 must not come back.
 """
 
 import importlib
@@ -80,40 +80,40 @@ class TestTopLevelSurface:
         assert isinstance(repro.__version__, str)
 
 
-class TestDeprecationShims:
-    def test_sim_telemetry_network_report_warns(self):
-        from repro.sim import telemetry
-        from repro.topologies import fattree
-        from repro.sim import PacketSimulation
+#: ``(module, name)`` pairs removed in 3.0.0; the comments name the
+#: replacements.
+RETIRED = [
+    ("repro.cli", "build_topology"),  # repro.registry.build_topology
+    ("repro.harness", "build_topology"),  # repro.registry.topology
+    ("repro.harness.execute", "build_topology"),  # repro.registry.topology
+    ("repro.sim", "make_routing"),  # repro.registry.routing
+    ("repro.sim.simulation", "make_routing"),  # repro.registry.routing
+    ("repro.topologies", "fail_links"),  # Topology.degrade(FailureScenario(...))
+    ("repro.topologies", "fail_switches"),  # Topology.degrade(FailureScenario(...))
+    ("repro.topologies", "random_link_failures"),  # Topology.degrade("links:...")
+    ("repro.topologies", "random_switch_failures"),  # Topology.degrade("switches:...")
+    ("repro.topologies.failures", "fail_links"),
+    ("repro.topologies.failures", "fail_switches"),
+    ("repro.topologies.failures", "random_link_failures"),
+    ("repro.topologies.failures", "random_switch_failures"),
+    ("repro.topologies.failures", "_deprecated"),
+    ("repro.flowsim", "max_min_allocation_reference"),  # test-only oracle
+]
 
-        sim = PacketSimulation(fattree(4).topology)
-        with pytest.warns(DeprecationWarning, match="repro.obs"):
-            report = telemetry.network_report(sim.network)
-        assert report.links is not None
 
-    def test_make_routing_warns_but_works(self):
-        from repro.sim import make_routing
-        from repro.topologies import fattree
+class TestRetiredNames:
+    @pytest.mark.parametrize("module, name", RETIRED)
+    def test_retired_name_is_gone(self, module, name):
+        mod = importlib.import_module(module)
+        assert not hasattr(mod, name)
+        assert name not in mod.__all__
 
-        topo = fattree(4).topology
-        with pytest.warns(DeprecationWarning, match="registry"):
-            policy = make_routing("ecmp", topo)
-        assert policy is not None
+    def test_sim_telemetry_module_is_gone(self):
+        # repro.obs.network_report is the replacement.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.sim.telemetry")
 
-    def test_harness_build_topology_warns(self):
-        from repro.harness.execute import build_topology
+    def test_engine_has_one_event_loop(self):
+        from repro.sim import Engine
 
-        with pytest.warns(DeprecationWarning, match="registry"):
-            topo = build_topology({"family": "fattree", "k": 4})
-        assert topo.num_switches == 20
-
-    def test_cli_build_topology_warns(self):
-        import argparse
-
-        from repro.cli import build_topology
-
-        args = argparse.Namespace(k=4, core_fraction=1.0, servers=0)
-        with pytest.warns(DeprecationWarning, match="registry"):
-            topo, ft = build_topology("fattree", args)
-        assert topo.num_switches == 20
-        assert ft is not None
+        assert not hasattr(Engine, "run_reference")

@@ -73,13 +73,13 @@ class TestTrafficEquivalence:
 
 class TestRoutingEquivalence:
     def test_ecmp_matches_legacy_entry_point(self):
-        from repro.sim import make_routing
+        from repro.sim import EcmpRouting, PacketSimulation
 
         topo = jellyfish(8, 4, 2, seed=1)
         built = registry.routing("ecmp", topo)
-        with pytest.warns(DeprecationWarning):
-            legacy = make_routing("ecmp", topo)
-        assert type(built) is type(legacy)
+        assert type(built) is EcmpRouting
+        # A routing name handed to the simulator goes through the registry.
+        assert type(PacketSimulation(topo, routing="ecmp").routing) is EcmpRouting
 
     def test_defaults_fill_but_do_not_override(self):
         topo = jellyfish(8, 4, 2, seed=1)

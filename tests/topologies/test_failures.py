@@ -2,16 +2,21 @@
 
 import pytest
 
+from repro.resilience import FailureScenario
 from repro.topologies import (
     TopologyError,
-    fail_links,
-    fail_switches,
     jellyfish,
     largest_connected_component,
-    random_link_failures,
-    random_switch_failures,
     xpander,
 )
+
+
+def fail_links(topo, links):
+    return topo.degrade(FailureScenario(mode="links", links=links))
+
+
+def fail_switches(topo, switches):
+    return topo.degrade(FailureScenario(mode="switches", switches=switches))
 
 
 @pytest.fixture()
@@ -55,23 +60,23 @@ class TestFailSwitches:
 
 class TestRandomFailures:
     def test_fraction_of_links(self, xp):
-        degraded = random_link_failures(xp, 0.2, seed=1)
+        degraded = xp.degrade("links:fraction=0.2,seed=1")
         assert degraded.num_links == xp.num_links - round(0.2 * xp.num_links)
 
     def test_deterministic(self, xp):
-        a = random_link_failures(xp, 0.3, seed=5)
-        b = random_link_failures(xp, 0.3, seed=5)
+        a = xp.degrade("links:fraction=0.3,seed=5")
+        b = xp.degrade("links:fraction=0.3,seed=5")
         assert sorted(a.graph.edges()) == sorted(b.graph.edges())
 
     def test_fraction_of_switches(self, xp):
-        degraded = random_switch_failures(xp, 0.25, seed=2)
+        degraded = xp.degrade("switches:fraction=0.25,seed=2")
         assert degraded.num_switches == xp.num_switches - round(0.25 * 30)
 
     def test_invalid_fraction(self, xp):
         with pytest.raises(TopologyError):
-            random_link_failures(xp, 1.0)
+            xp.degrade("links:fraction=1.0")
         with pytest.raises(TopologyError):
-            random_switch_failures(xp, -0.1)
+            xp.degrade("switches:fraction=-0.1")
 
 
 class TestLargestComponent:
@@ -101,7 +106,7 @@ class TestResilienceShape:
         tm = permutation_tm(xp.tors, 3, 0.3, seed=0)
         base = max_concurrent_throughput(xp, tm).per_server
         degraded = largest_connected_component(
-            random_link_failures(xp, 0.1, seed=3)
+            xp.degrade("links:fraction=0.1,seed=3")
         )
         assert degraded.is_connected()
         after = max_concurrent_throughput(degraded, tm).per_server
