@@ -26,24 +26,23 @@ structure survives between requests:
   :func:`repro.perf.shared_path_cache`, which request handlers share
   with every other layer of the library.
 
-All the LRUs are guarded by one lock held only around dictionary
-operations — construction happens outside it, so two concurrent misses
-on *different* topologies build in parallel, and a raced double-build of
-the *same* key keeps the first-inserted instance.  Counters are plain
-ints under the same lock, mirrored to :mod:`repro.obs` counters
-(``api.topology.hits`` etc.) so warm-state behaviour shows up in traces.
+Each layer is a :class:`repro.perf.Lru`, whose lock is held only around
+dictionary operations — construction happens outside it, so two
+concurrent misses on *different* topologies build in parallel, and a
+raced double-build of the *same* key keeps the first-inserted instance.
+Its counters are mirrored to :mod:`repro.obs` (``api.topology.hits``
+etc.) so warm-state behaviour shows up in traces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from .. import obs, registry
+from .. import registry
+from ..perf import Lru
 from ..topologies import Topology
 
 __all__ = ["WarmState", "canonical_key"]
@@ -53,50 +52,6 @@ def canonical_key(payload: Any) -> str:
     """A stable content key for any JSON-serializable payload."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class _Lru:
-    """A tiny counted LRU: mapping + hit/miss/eviction counters."""
-
-    def __init__(self, name: str, max_entries: int) -> None:
-        self.name = name
-        self.max_entries = max_entries
-        self.entries: "OrderedDict[str, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: str) -> Optional[Any]:
-        value = self.entries.get(key)
-        if value is None:
-            self.misses += 1
-            obs.add(f"api.{self.name}.misses")
-            return None
-        self.entries.move_to_end(key)
-        self.hits += 1
-        obs.add(f"api.{self.name}.hits")
-        return value
-
-    def put(self, key: str, value: Any) -> Any:
-        """Insert; a raced duplicate keeps (and returns) the incumbent."""
-        incumbent = self.entries.get(key)
-        if incumbent is not None:
-            return incumbent
-        self.entries[key] = value
-        while len(self.entries) > self.max_entries:
-            self.entries.popitem(last=False)
-            self.evictions += 1
-            obs.add(f"api.{self.name}.evictions")
-        return value
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "entries": len(self.entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
 
 class WarmState:
@@ -114,10 +69,9 @@ class WarmState:
         max_contexts: int = 16,
         max_results: int = 4096,
     ) -> None:
-        self._lock = threading.RLock()
-        self._topologies = _Lru("topology", max_topologies)
-        self._contexts = _Lru("context", max_contexts)
-        self._results = _Lru("results", max_results)
+        self._topologies = Lru(max_topologies, "api.topology")
+        self._contexts = Lru(max_contexts, "api.context")
+        self._results = Lru(max_results, "api.results")
         self.started_at = time.time()
 
     # ------------------------------------------------------------------
@@ -154,13 +108,11 @@ class WarmState:
         build fresh graphs).
         """
         key = self.topology_key(spec, failures)
-        with self._lock:
-            topo = self._topologies.get(key)
+        topo = self._topologies.get(key)
         if topo is not None:
             return topo, True
         topo = self.build_topology(spec, failures)
-        with self._lock:
-            return self._topologies.put(key, topo), False
+        return self._topologies.put(key, topo), False
 
     # ------------------------------------------------------------------
     # Solver contexts (ArcTables, LP structures, path pools)
@@ -184,51 +136,46 @@ class WarmState:
                 "params": params,
             }
         )
-        with self._lock:
-            context = self._contexts.get(key)
+        context = self._contexts.get(key)
         if context is not None:
             return context, True
         context = backend.new_context(topology)
-        with self._lock:
-            return self._contexts.put(key, context), False
+        return self._contexts.put(key, context), False
 
     # ------------------------------------------------------------------
     # Content-addressed result memo
     # ------------------------------------------------------------------
     def result_get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            return self._results.get(key)
+        return self._results.get(key)
 
     def result_put(self, key: str, payload: Dict[str, Any]) -> None:
-        with self._lock:
-            self._results.put(key, payload)
+        self._results.put(key, payload)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """A JSON-ready snapshot for the ``/context`` manifest.
 
-        Context stats are read after the state lock is released, so a
-        context busy with a long solve never stalls other requests'
+        Context stats are read from a snapshot, outside the LRU's lock,
+        so a context busy with a long solve never stalls other requests'
         cache lookups.
         """
         from ..perf import shared_cache_stats
         from ..solvers import warm_start_stats
 
-        with self._lock:
-            warm = {
-                "topologies": self._topologies.stats(),
-                "solver_contexts": self._contexts.stats(),
-                "results": self._results.stats(),
-            }
-            contexts = list(self._contexts.entries.values())
-        warm["solver_contexts"]["contexts"] = [ctx.stats() for ctx in contexts]
+        warm = {
+            "topologies": self._topologies.stats(),
+            "solver_contexts": self._contexts.stats(),
+            "results": self._results.stats(),
+        }
+        warm["solver_contexts"]["contexts"] = [
+            ctx.stats() for ctx in self._contexts.values()
+        ]
         warm["path_cache"] = shared_cache_stats()
         warm["warm_start"] = warm_start_stats()
         return warm
 
     def clear(self) -> None:
         """Drop every warm entry (tests; counters are kept)."""
-        with self._lock:
-            self._topologies.entries.clear()
-            self._contexts.entries.clear()
-            self._results.entries.clear()
+        self._topologies.clear()
+        self._contexts.clear()
+        self._results.clear()

@@ -37,12 +37,11 @@ candidate provably cannot meet the target (the property test in
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs, registry
 from ..cost import PORT_COSTS, predicted_port_cost, topology_port_cost
+from ..perf import Lru
 from ..throughput.bounds import tm_throughput_upper_bound
 from ..topologies.dynamic import moore_bound_mean_distance
 from ..topologies.properties import spectral_gap
@@ -78,36 +77,6 @@ def _canonical(payload: Any) -> str:
     return canonical_key(payload)
 
 
-class _Memo:
-    """A small LRU of measurement dicts keyed by content.
-
-    Locked: one warm :class:`DesignEngine` is shared by the service's
-    HTTP handler threads and design-job worker threads, and an
-    ``OrderedDict``'s recency updates are not safe to interleave.
-    """
-
-    def __init__(self, capacity: int = 512):
-        self.capacity = capacity
-        self._data: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-        if value is not None:
-            obs.add("design.memo.hits")
-        return value
-
-    def put(self, key: str, value: Dict[str, Any]) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-
 class DesignEngine:
     """The staged search with warm, content-addressed measurement memos.
 
@@ -120,9 +89,11 @@ class DesignEngine:
     """
 
     def __init__(self, memo_capacity: int = 512):
-        self._struct = _Memo(memo_capacity)
-        self._lp = _Memo(memo_capacity)
-        self._resilience = _Memo(memo_capacity)
+        # Shared by the service's HTTP handler threads and design-job
+        # workers, hence the thread-safe LRU.
+        self._struct = Lru(memo_capacity, "design.memo")
+        self._lp = Lru(memo_capacity, "design.memo")
+        self._resilience = Lru(memo_capacity, "design.memo")
 
     # -- measurement layers (memoized, threshold-free) -----------------
     def _struct_key(self, cand: CandidateDesign, target: DesignTarget) -> str:

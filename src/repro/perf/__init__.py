@@ -3,9 +3,11 @@
 See :mod:`repro.perf.pathcache` for the design.  The vectorized compute
 kernels themselves live next to the code they accelerate
 (:mod:`repro.throughput.lp`, :mod:`repro.flowsim.fairshare`); this
-package owns the structures they share.
+package owns the structures they share, and :class:`Lru`, the one
+bounded, counted LRU every warm cache in the library uses.
 """
 
+from .lru import Lru
 from .pathcache import (
     PathCache,
     clear_shared_caches,
@@ -16,6 +18,7 @@ from .pathcache import (
 )
 
 __all__ = [
+    "Lru",
     "PathCache",
     "shared_path_cache",
     "shared_cache_stats",

@@ -33,7 +33,7 @@ always build fresh graphs, and the content-hash registry key means a
 rebuilt or edited graph never aliases a stale entry.
 
 Both the shared registry and each :class:`PathCache` are thread-safe:
-the registry's LRU get/insert/evict runs under one module lock, and a
+the registry is a :class:`~repro.perf.lru.Lru`, and a
 cache's lazy structures (distance matrix, ECMP tables, k-shortest-path
 sets) are computed under a per-instance lock, so the threaded request
 handlers of :mod:`repro.api` can share one warm cache without ever
@@ -49,7 +49,6 @@ import io
 import json
 import os
 import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,6 +57,7 @@ from scipy.sparse import csgraph
 
 from .. import obs
 from ..ioutils import atomic_write_bytes, atomic_write_json
+from .lru import Lru
 
 __all__ = [
     "PathCache",
@@ -377,14 +377,11 @@ class PathCache:
 # ----------------------------------------------------------------------
 # In-process shared registry
 # ----------------------------------------------------------------------
-_REGISTRY: "OrderedDict[Tuple[str, Optional[str]], PathCache]" = OrderedDict()
 _REGISTRY_MAX = 16
-# One lock for the LRU's get/insert/evict: the registry is tiny and the
-# guarded section never computes anything (PathCache construction builds
-# only the CSR adjacency; the expensive structures stay lazy), so a
-# single lock is cheap and keeps two threads from racing an insert with
-# an eviction.
-_REGISTRY_LOCK = threading.RLock()
+# PathCache construction builds only the CSR adjacency (the expensive
+# structures stay lazy), so a raced double-build is cheap, and the LRU
+# keeps the first-inserted instance for every caller.
+_REGISTRY = Lru(_REGISTRY_MAX, "pathcache.shared")
 
 
 def shared_path_cache(
@@ -402,19 +399,10 @@ def shared_path_cache(
     """
     graph = _as_graph(graph_or_topology)
     key = (topology_content_hash(graph), persist_dir)
-    with _REGISTRY_LOCK:
-        cache = _REGISTRY.get(key)
-        if cache is None:
-            obs.add("pathcache.shared_misses")
-            cache = PathCache(graph, persist_dir=persist_dir)
-            _REGISTRY[key] = cache
-            while len(_REGISTRY) > _REGISTRY_MAX:
-                _REGISTRY.popitem(last=False)
-                obs.add("pathcache.evictions")
-        else:
-            obs.add("pathcache.shared_hits")
-            _REGISTRY.move_to_end(key)
-        return cache
+    cache = _REGISTRY.get(key)
+    if cache is None:
+        cache = _REGISTRY.put(key, PathCache(graph, persist_dir=persist_dir))
+    return cache
 
 
 def shared_cache_stats() -> Dict[str, int]:
@@ -425,11 +413,10 @@ def shared_cache_stats() -> Dict[str, int]:
     and how many have their distance matrix / ECMP tables / k-shortest
     path sets already computed.
     """
-    with _REGISTRY_LOCK:
-        caches = list(_REGISTRY.values())
+    caches = _REGISTRY.values()
     return {
         "entries": len(caches),
-        "max_entries": _REGISTRY_MAX,
+        "max_entries": _REGISTRY.max_entries,
         "with_distances": sum(1 for c in caches if c._dist is not None),
         "with_ecmp_tables": sum(1 for c in caches if c._tables is not None),
         "ksp_pairs": sum(len(c._ksp) for c in caches),
@@ -438,10 +425,7 @@ def shared_cache_stats() -> Dict[str, int]:
 
 def clear_shared_caches() -> int:
     """Drop every registry entry; returns the number removed (tests)."""
-    with _REGISTRY_LOCK:
-        removed = len(_REGISTRY)
-        _REGISTRY.clear()
-        return removed
+    return _REGISTRY.clear()
 
 
 def invalidate_shared_cache(graph_or_topology) -> int:
@@ -454,10 +438,9 @@ def invalidate_shared_cache(graph_or_topology) -> int:
     degraded structure on next use.
     """
     content = topology_content_hash(graph_or_topology)
-    with _REGISTRY_LOCK:
-        stale = [key for key in _REGISTRY if key[0] == content]
-        for key in stale:
-            del _REGISTRY[key]
+    stale = [key for key in _REGISTRY.keys() if key[0] == content]
+    for key in stale:
+        _REGISTRY.pop(key)
     if stale:
         obs.add("pathcache.invalidations", len(stale))
     return len(stale)

@@ -20,7 +20,10 @@ Five backends under eight registry names:
   ``phases``, ``passes``, ``max_rounds``, ``mode`` (auto / core /
   fallback).
 * ``highs-paths`` (alias ``paths``) — k-shortest-paths LP lower bound
-  via :func:`~repro.throughput.lp.path_throughput`; knob ``k``.
+  via :func:`~repro.throughput.lp.path_throughput`, which is the
+  colgen master solved once with pricing off; knob ``k``.  A cold
+  backend with no context: a shared warm colgen pool would carry priced
+  columns and lift the bound toward the exact optimum.
 * ``mcf-approx`` — the Fleischer/Garg–Könemann FPTAS
   (:func:`~repro.throughput.mcf.approx_concurrent_throughput`); knob
   ``epsilon`` in (0, 0.5), guaranteeing a (1 - O(epsilon)) fraction of
@@ -33,6 +36,7 @@ Every outcome carries the registry name the caller asked for
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Callable, Optional
 
 from ..throughput.colgen import ColgenTopologyContext, have_highs_core
@@ -54,6 +58,20 @@ __all__ = [
     "McfApproxBackend",
     "register_builtin_solvers",
 ]
+
+
+def _int_knob(name: str, value: Any, minimum: int) -> int:
+    """``value`` as an ``int`` of at least ``minimum``.
+
+    Spec strings parse ``k=2.5`` to a float and ``k=abc`` to a string;
+    both are rejected here rather than truncated or compared, so a
+    knob never silently solves a different model than it names.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+    return int(value)
 
 
 class HighsExactBackend(SolverBackend):
@@ -133,14 +151,12 @@ class HighsColgenBackend(WarmBackend):
                 "(scipy.optimize._highspy), which this scipy build lacks; "
                 "use mode='auto' or 'fallback'"
             )
-        if int(k) < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if int(max_rounds) < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-        self.k = int(k)
-        self.phases = None if phases is None else int(phases)
-        self.passes = int(passes)
-        self.max_rounds = int(max_rounds)
+        self.k = _int_knob("k", k, 1)
+        self.phases = None if phases is None else _int_knob("phases", phases, 0)
+        self.passes = _int_knob("passes", passes, 1)
+        # max_rounds=0 is the pricing-off master (highs-paths): never
+        # exact, so this backend requires at least one pricing round.
+        self.max_rounds = _int_knob("max_rounds", max_rounds, 1)
         self.mode = mode
 
     def new_context(self, topology) -> ColgenTopologyContext:
@@ -155,14 +171,17 @@ class HighsColgenBackend(WarmBackend):
 
 
 class HighsPathsBackend(SolverBackend):
-    """k-shortest-paths LP: a lower bound that scales past the exact LP."""
+    """k-shortest-paths LP: a lower bound that scales past the exact LP.
+
+    Deliberately context-free (``context_kind = None``): it must never
+    share a warm colgen path pool, whose priced columns would lift the
+    k-paths bound toward the exact optimum.
+    """
 
     name = "highs-paths"
 
     def __init__(self, k: int = 8):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = _int_knob("k", k, 1)
 
     def _solve_result(self, topology, tm, per_server_demand: float) -> ThroughputResult:
         return path_throughput(

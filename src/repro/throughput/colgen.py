@@ -57,6 +57,7 @@ exactly those of :func:`~repro.throughput.lp.max_concurrent_throughput`.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -190,7 +191,6 @@ class _Pricer:
 
     def __init__(self, table: ArcTable, demands) -> None:
         self.table = table
-        self.csr, self.perm = table.csr_structure()
         node_index = table.node_index
         self.nd = len(demands)
         self.dem_vals = np.asarray([v for _, v in demands], dtype=float)
@@ -201,13 +201,19 @@ class _Pricer:
             [node_index[d] for (_, d), _ in demands], dtype=np.intp
         )
         self.unique_srcs, self.inv = np.unique(self.srcs, return_inverse=True)
+
+    @functools.cached_property
+    def _graph(self) -> Tuple[Any, np.ndarray, np.ndarray]:
+        """``(csr, perm, arc_lut)``, built on the first Dijkstra so a
+        master solved without pricing never pays for the n^2 lookup."""
+        table = self.table
+        csr, perm = table.csr_structure()
         n = table.num_nodes
-        self._n = n
         lut = np.full(n * n, -1, dtype=np.int64)
         lut[table.tails.astype(np.int64) * n + table.heads.astype(np.int64)] = (
             np.arange(table.num_arcs)
         )
-        self.arc_lut = lut
+        return csr, perm, lut
 
     def tree_paths(
         self, lengths: np.ndarray
@@ -219,13 +225,13 @@ class _Pricer:
         ``dist`` is the raw Dijkstra distance matrix over the unique
         sources.
         """
-        self.csr.data = lengths[self.perm]
+        csr, perm, lut = self._graph
+        csr.data = lengths[perm]
         dist, pred = csgraph.dijkstra(
-            self.csr, directed=True, indices=self.unique_srcs,
+            csr, directed=True, indices=self.unique_srcs,
             return_predecessors=True,
         )
-        n = self._n
-        lut = self.arc_lut
+        n = self.table.num_nodes
         out: List[Optional[Tuple[int, ...]]] = []
         for i in range(self.nd):
             row = self.inv[i]
@@ -287,8 +293,6 @@ def _mwu_sweep(
     """Garg–Könemann-style pool builder: route every demand on a
     shortest tree, inflate traversed arc lengths by demand/capacity,
     repeat — the visited trees approximate the optimal support."""
-    if phases <= 0:
-        return
     lengths = 1.0 / caps
     dem_vals = pricer.dem_vals
     for _ in range(phases):
@@ -390,7 +394,7 @@ def _master_arrays(
     return starts, idx, val, counts, flat
 
 
-def _raise_for_core_status(hcore, h, context) -> None:
+def _raise_for_core_status(hcore, h, formulation, context) -> None:
     status = h.getModelStatus()
     if status == hcore.HighsModelStatus.kOptimal:
         return
@@ -402,8 +406,8 @@ def _raise_for_core_status(hcore, h, context) -> None:
         getattr(hcore.HighsModelStatus, "kUnbounded", None): UnboundedError,
     }
     raise kinds.get(status, SolverNumericalError)(
-        f"colgen master failed: HiGHS reported {name}",
-        formulation="colgen",
+        f"{formulation} master failed: HiGHS reported {name}",
+        formulation=formulation,
         context=context,
     )
 
@@ -418,6 +422,7 @@ def _solve_core(
     passes: int,
     max_rounds: int,
     stats: ColgenStats,
+    formulation: str,
     context: Optional[Dict[str, Any]],
 ) -> Tuple[float, np.ndarray, int]:
     """Column-generation loop with warm re-solves; returns
@@ -453,24 +458,25 @@ def _solve_core(
     lp.a_matrix_.index_ = idx
     lp.a_matrix_.value_ = val
     h.passModel(lp)
+    iterations = 0
+
+    def _run() -> None:
+        nonlocal iterations
+        h.run()
+        info = h.getInfo()
+        solved = int(getattr(info, "simplex_iteration_count", 0) or 0)
+        solved += int(getattr(info, "ipm_iteration_count", 0) or 0)
+        iterations += solved
+        obs.add("lp.solver_iterations", solved)
+        _raise_for_core_status(hcore, h, formulation, context)
+
     # Cold solve: the path LP is massively degenerate under simplex
     # (thousands of equal-length alternatives), while IPM converges in
     # ~25 iterations regardless of size; crossover leaves a basis for
     # the warm addCols re-solves, which then run dual simplex.
     h.setOptionValue("solver", "ipm")
-    h.run()
-    _raise_for_core_status(hcore, h, context)
+    _run()
     h.setOptionValue("solver", "choose")
-
-    iterations = 0
-
-    def _note_iters() -> None:
-        nonlocal iterations
-        info = h.getInfo()
-        iterations += int(getattr(info, "simplex_iteration_count", 0) or 0)
-        iterations += int(getattr(info, "ipm_iteration_count", 0) or 0)
-
-    _note_iters()
     t_col = nv0  # addCols appends after t; its index never moves
     best_ub = float("inf")
     tight = False
@@ -501,9 +507,7 @@ def _solve_core(
             h.setOptionValue("primal_feasibility_tolerance", 1e-10)
             h.setOptionValue("dual_feasibility_tolerance", 1e-10)
             with obs.span("colgen.polish"):
-                h.run()
-            _raise_for_core_status(hcore, h, context)
-            _note_iters()
+                _run()
             tight = True
             if added == 0:
                 continue
@@ -526,16 +530,16 @@ def _solve_core(
                 nn, np.zeros(nn), np.zeros(nn), np.full(nn, inf),
                 int(cstarts[-1]), cstarts.astype(np.int32), cidx, cval,
             )
-            h.run()
-        _raise_for_core_status(hcore, h, context)
-        _note_iters()
+            _run()
     else:
-        raise SolverNumericalError(
-            f"colgen did not converge within max_rounds "
-            f"({stats.rounds} rounds, gap {best_ub - (-h.getObjectiveValue()):.3e})",
-            formulation="colgen",
-            context=context,
-        )
+        # Zero rounds is the pricing-off master: the seeded solve stands.
+        if max_rounds:
+            raise SolverNumericalError(
+                f"colgen did not converge within max_rounds ({stats.rounds} "
+                f"rounds, gap {best_ub - (-h.getObjectiveValue()):.3e})",
+                formulation="colgen",
+                context=context,
+            )
 
     x = np.asarray(h.getSolution().col_value, dtype=float)
     t = float(x[t_col])
@@ -553,6 +557,7 @@ def _solve_linprog(
     passes: int,
     max_rounds: int,
     stats: ColgenStats,
+    formulation: str,
     context: Optional[Dict[str, Any]],
 ) -> Tuple[float, np.ndarray, int]:
     import scipy.sparse as sp
@@ -561,10 +566,9 @@ def _solve_linprog(
     m = caps.size
     dem_vals = pricer.dem_vals
     iterations = 0
-    res = None
-    for _ in range(max_rounds):
-        stats.rounds += 1
-        obs.add("colgen.pricing_rounds")
+
+    def _master():
+        nonlocal iterations
         nv = len(pool)
         counts = np.asarray([len(c) for c in pool.cols], dtype=np.intp)
         flat = (
@@ -585,13 +589,21 @@ def _solve_linprog(
         )
         c = np.zeros(nv + 1)
         c[nv] = -1.0
-        with obs.span("colgen.master", columns=nv, warm=False):
-            res = linprog(
-                c, A_ub=a_ub, b_ub=caps, A_eq=a_eq, b_eq=np.zeros(nd),
-                bounds=[(0, None)] * (nv + 1), method="highs",
-            )
-        iterations += int(getattr(res, "nit", 0) or 0)
-        raise_for_linprog(res, formulation="colgen", context=context)
+        res = linprog(
+            c, A_ub=a_ub, b_ub=caps, A_eq=a_eq, b_eq=np.zeros(nd),
+            bounds=[(0, None)] * (nv + 1), method="highs",
+        )
+        solved = int(getattr(res, "nit", 0) or 0)
+        iterations += solved
+        obs.add("lp.solver_iterations", solved)
+        raise_for_linprog(res, formulation=formulation, context=context)
+        return res
+
+    # Zero rounds is the pricing-off master: the seeded solve stands.
+    res = _master()
+    for _ in range(max_rounds):
+        stats.rounds += 1
+        obs.add("colgen.pricing_rounds")
         lam = res.eqlin.marginals
         w = np.maximum(-res.ineqlin.marginals, 0.0)
         with obs.span("colgen.pricing", round=stats.rounds):
@@ -602,12 +614,14 @@ def _solve_linprog(
         stats.columns_added += added
         if added == 0:
             break
-    else:
-        raise SolverNumericalError(
-            f"colgen did not converge within max_rounds ({stats.rounds})",
-            formulation="colgen",
-            context=context,
-        )
+        if stats.rounds == max_rounds:
+            raise SolverNumericalError(
+                f"colgen did not converge within max_rounds ({stats.rounds})",
+                formulation="colgen",
+                context=context,
+            )
+        with obs.span("colgen.master", columns=len(pool), warm=False):
+            res = _master()
     nv = int(res.x.size - 1)
     return float(res.x[nv]), np.asarray(res.x[:nv], dtype=float), iterations
 
@@ -638,7 +652,13 @@ def colgen_solve(
     :class:`ColgenTopologyContext` warm-starts
     repeated solves.  ``use_core=None`` auto-detects the bundled HiGHS
     core; ``False`` forces the linprog fallback (tests).
+
+    ``max_rounds=0`` prices nothing: the seeded master is solved once
+    and reported as the ``"paths"`` formulation — with ``phases=0`` and
+    no pool, exactly the k-shortest-paths LP of
+    :func:`~repro.throughput.lp.path_throughput`.
     """
+    formulation = "colgen" if max_rounds else "paths"
     demands = tm.items()
     nd = len(demands)
     stats = ColgenStats()
@@ -647,7 +667,7 @@ def colgen_solve(
     stats.engine = "highs-core" if use_core else "linprog"
 
     obs.add("lp.calls")
-    with obs.span("lp.assemble", formulation="colgen", demands=nd):
+    with obs.span("lp.assemble", formulation=formulation, demands=nd, k=k):
         pricer = _Pricer(table, demands)
         caps = table.caps
         pool = _Pool(nd)
@@ -671,18 +691,19 @@ def colgen_solve(
             # near-optimal support; a warm pool skips them entirely.
             phases = 0 if stats.pool_warm else max(64, min(384, nd))
         stats.phases = phases if not stats.pool_warm else 0
-        with obs.span("colgen.pool_build", phases=stats.phases):
-            _mwu_sweep(pricer, pool, caps, stats.phases)
+        if stats.phases > 0:
+            with obs.span("colgen.pool_build", phases=stats.phases):
+                _mwu_sweep(pricer, pool, caps, stats.phases)
 
     engine = _solve_core if use_core else _solve_linprog
     with obs.span(
-        "lp.solve", formulation="colgen", variables=len(pool) + 1
+        "lp.solve", formulation=formulation, variables=len(pool) + 1
     ):
         t, pool_x, iterations = engine(
-            pricer, pool, caps, passes, max_rounds, stats, context
+            pricer, pool, caps, passes, max_rounds, stats, formulation,
+            context,
         )
     stats.columns = len(pool)
-    obs.add("lp.solver_iterations", iterations)
 
     if pool_store is not None:
         pairs = [pair for pair, _ in demands]
@@ -806,6 +827,7 @@ class ColgenTopologyContext:
                 context={
                     "topology": self.topology.name,
                     "demands": tm.num_flows,
+                    "k": self.k,
                 },
             )
         with self._lock:
@@ -868,7 +890,9 @@ def path_colgen_throughput(
         passes collect diverse columns near congested arcs).
     max_rounds:
         Pricing-round cap; exceeding it raises
-        :class:`~repro.throughput.errors.SolverNumericalError`.
+        :class:`~repro.throughput.errors.SolverNumericalError`.  ``0``
+        prices nothing: the seeded master is solved once (with
+        ``phases=0``, :func:`~repro.throughput.lp.path_throughput`).
 
     Degenerate conventions match the exact LP: empty TM returns
     ``(inf, 1.0)``; all demands disconnected returns ``(0.0, 0.0)``

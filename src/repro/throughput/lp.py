@@ -15,7 +15,8 @@ classic *maximum concurrent flow* problem.  Two formulations are provided:
   simplex bases); the function is a one-shot use of it.
 * :func:`path_throughput` — restricted to k shortest paths per demand
   (a lower bound on the exact optimum, asymptotically tight as k grows);
-  much smaller LPs on large networks.
+  much smaller LPs on large networks.  It is the path master of
+  :mod:`repro.throughput.colgen` solved once with pricing off.
 
 Both use scipy's HiGHS solver with sparse constraint matrices.
 
@@ -31,7 +32,6 @@ the baseline for the perf-regression bench.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -41,6 +41,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .. import obs
+from ..perf import Lru
 from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .arcs import ArcTable
@@ -50,7 +51,6 @@ from .errors import (
     UnboundedError,
     raise_for_linprog,
 )
-from .paths import path_edges
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perf import PathCache
@@ -418,10 +418,12 @@ class EdgeLpContext:
       :func:`max_concurrent_throughput` — which is itself a one-shot
       ``use_highspy=False`` context solved with ``warm=False``.
 
-    Solves never serialize on the context: its lock covers only the
-    structure LRU.  A structure is checked out for the duration of its
-    solve, so a concurrent solve over the same support assembles its
-    own, and HiGHS (which releases the GIL) runs the two in parallel.
+    Solves never serialize on the context: the structure LRU (a
+    :class:`repro.perf.Lru`) locks only around its own dictionary
+    operations.  A structure is checked out (``pop``) for the duration
+    of its solve, so a concurrent solve over the same support assembles
+    its own, and HiGHS (which releases the GIL) runs the two in
+    parallel.
     """
 
     kind = "edge-lp"
@@ -442,7 +444,8 @@ class EdgeLpContext:
                 "(pip install 'repro[perf]') or use the scipy fallback"
             )
         self.max_structures = int(max_structures)
-        self._structures: "OrderedDict[Any, _LpStructure]" = OrderedDict()
+        self._structures = Lru(self.max_structures, "lp.structures")
+        # Guards the solve counters; the structure LRU locks itself.
         self._lock = threading.Lock()
         self.models_built = 0
         self.warm_solves = 0
@@ -475,8 +478,8 @@ class EdgeLpContext:
         obs.add("lp.calls")
         dests, demand_to = _demands_by_destination(tm)
         key = _structure_key(dests, demand_to)
+        structure = self._structures.pop(key) if warm else None
         with self._lock:
-            structure = self._structures.pop(key, None) if warm else None
             if structure is None:
                 self.cold_solves += 1
                 self.models_built += 1
@@ -509,10 +512,7 @@ class EdgeLpContext:
             structure.solved_once = True
         finally:
             if warm:
-                with self._lock:
-                    self._structures[key] = structure
-                    while len(self._structures) > self.max_structures:
-                        self._structures.popitem(last=False)
+                self._structures.put(key, structure)
         return result
 
     # ------------------------------------------------------------------
@@ -747,6 +747,10 @@ def path_throughput(
     A lower bound on :func:`max_concurrent_throughput`; the LP has one
     variable per (demand, path) plus ``t``, and one capacity row per
     directed arc, so it scales to networks where the exact LP does not.
+    It is the column-generation master of
+    :mod:`repro.throughput.colgen` seeded with the k shortest paths and
+    solved once with pricing off (``phases=0``, ``max_rounds=0``) on
+    the ``linprog`` engine; failures report ``formulation="paths"``.
 
     Degenerate cases follow the same convention as the exact LP: empty
     TM returns ``(inf, 1.0)``, all-disconnected returns ``(0.0, 0.0)``;
@@ -761,109 +765,10 @@ def path_throughput(
         topology, so a sweep over routings (or ``k`` values) on one
         topology enumerates Yen's algorithm exactly once per pair.
     """
-    if tm.num_flows == 0:
-        return ThroughputResult(throughput=float("inf"), per_server=1.0)
+    from .colgen import ColgenTopologyContext
 
-    tm, dropped = _drop_disconnected_demands(topology, tm)
-    if tm.num_flows == 0:
-        return ThroughputResult(
-            throughput=0.0, per_server=0.0, disconnected_pairs=dropped
-        )
-
-    if path_cache is None:
-        from ..perf import shared_path_cache
-
-        path_cache = shared_path_cache(topology.graph)
-
-    obs.add("lp.calls")
-    with obs.span("lp.assemble", formulation="paths", demands=tm.num_flows, k=k):
-        table = ArcTable.from_topology(topology)
-        arc_index = table.index
-        num_arcs = table.num_arcs
-        caps = table.caps
-
-        demands = tm.items()
-        var_arcs: List[np.ndarray] = []  # arc-id array per path variable
-        var_owner: List[int] = []  # demand index
-        for di, ((s, d), _) in enumerate(demands):
-            paths = path_cache.k_shortest_paths(s, d, k)
-            for p in paths:
-                var_arcs.append(
-                    np.asarray(
-                        [arc_index[e] for e in path_edges(p)], dtype=np.intp
-                    )
-                )
-                var_owner.append(di)
-
-        num_path_vars = len(var_arcs)
-        num_vars = num_path_vars + 1
-        t_var = num_vars - 1
-
-        # Equality: per demand, sum of path flows = t * demand.
-        owner = np.asarray(var_owner, dtype=np.intp)
-        dem_vals = np.asarray([val for (_, _), val in demands], dtype=float)
-        eq_rows = np.concatenate(
-            [owner, np.arange(len(demands), dtype=np.intp)]
-        )
-        eq_cols = np.concatenate(
-            [
-                np.arange(num_path_vars, dtype=np.intp),
-                np.full(len(demands), t_var, dtype=np.intp),
-            ]
-        )
-        eq_vals = np.concatenate([np.ones(num_path_vars), -dem_vals])
-        a_eq = sp.csr_matrix(
-            (eq_vals, (eq_rows, eq_cols)), shape=(len(demands), num_vars)
-        )
-        b_eq = np.zeros(len(demands))
-
-        # Inequality: per-arc capacity.  One coordinate per (path, arc)
-        # traversal; repeated arcs within a path (impossible for simple
-        # paths, but harmless) would be summed by the CSR constructor.
-        counts = np.asarray([a.size for a in var_arcs], dtype=np.intp)
-        flat_arcs = (
-            np.concatenate(var_arcs)
-            if var_arcs
-            else np.empty(0, dtype=np.intp)
-        )
-        ub_cols = np.repeat(np.arange(num_path_vars, dtype=np.intp), counts)
-        a_ub = sp.csr_matrix(
-            (np.ones(flat_arcs.size), (flat_arcs, ub_cols)),
-            shape=(num_arcs, num_vars),
-        )
-
-        c = np.zeros(num_vars)
-        c[t_var] = -1.0
-
-    with obs.span("lp.solve", formulation="paths", variables=num_vars):
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=caps,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0, None)] * num_vars,
-            method="highs",
-        )
-    iterations = int(getattr(res, "nit", 0) or 0)
-    obs.add("lp.solver_iterations", iterations)
-    raise_for_linprog(
-        res,
-        formulation="paths",
-        context={"topology": topology.name, "demands": tm.num_flows, "k": k},
+    context = ColgenTopologyContext(
+        topology, k=k, phases=0, max_rounds=0, use_core=False,
+        path_cache=path_cache,
     )
-    t = float(res.x[t_var])
-
-    flows = np.zeros(num_arcs)
-    np.add.at(flows, flat_arcs, np.repeat(res.x[:num_path_vars], counts))
-    utilization = {
-        table.arcs[a]: float(flows[a] / caps[a]) if caps[a] else 0.0
-        for a in range(num_arcs)
-    }
-    return ThroughputResult(
-        throughput=t,
-        per_server=min(1.0, t * per_server_demand),
-        link_utilization=utilization,
-        disconnected_pairs=dropped,
-        iterations=iterations,
-    )
+    return context.solve(tm, per_server_demand, warm=False)

@@ -73,6 +73,26 @@ def test_unknown_solver(client):
     assert "highs-batched" in resp.json["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "solver",
+    [
+        "highs-paths:k=2.5",
+        "highs-colgen:k=2.5",
+        "highs-colgen:passes=-3",
+        "highs-colgen:passes=0",
+        "highs-colgen:phases=-1",
+        "highs-colgen:k=abc",
+        "highs-paths:k=abc",
+    ],
+)
+def test_bad_integer_solver_knob(client, solver):
+    resp = client.post(
+        "/v1/throughput", {"topology": JELLYFISH, "solver": solver}
+    )
+    _assert_error(resp, 400, "bad_spec")
+    assert "must be an integer" in resp.json["error"]["message"]
+
+
 def test_bad_fractions(client):
     for fractions in ([], [0.0], [1.5], ["half"]):
         resp = client.post(

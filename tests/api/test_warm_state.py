@@ -4,7 +4,7 @@ A second request naming the same topology spec must hit the warm layers
 — the built topology, the exact-LP context (persistent ArcTable), and
 the process-wide shared path cache — which is asserted here through the
 obs counters the caches emit (``api.topology.hits``,
-``api.context.hits``, ``pathcache.shared_hits``), not through private
+``api.context.hits``, ``pathcache.shared.hits``), not through private
 attributes.  Byte-identical queries short-circuit into the
 content-addressed result memo; ``"warm": false`` bypasses everything.
 """
@@ -51,7 +51,7 @@ def test_second_request_hits_warm_state_via_obs_counters(client):
         assert second.json["warm"]["context"] == "hit"
         assert _counter("api.topology.hits") >= 1
         assert _counter("api.context.hits") >= 1
-        assert _counter("pathcache.shared_hits") >= 1
+        assert _counter("pathcache.shared.hits") >= 1
         assert _counter("api.requests") == 2
 
 

@@ -1,7 +1,6 @@
 """The staged search: determinism, pruning soundness, cancellation."""
 
 import json
-import threading
 
 import pytest
 
@@ -192,36 +191,6 @@ class TestPruningSoundness:
         for entry in report.evaluated:
             if entry.status == "optimal":
                 assert entry.per_server <= entry.bound_per_server + 1e-6
-
-
-class TestMemoThreadSafety:
-    def test_concurrent_churn_does_not_corrupt(self):
-        """The engine's LRU is shared by HTTP handler threads and job
-        workers; interleaved get/put (move_to_end + popitem under
-        eviction pressure) must neither raise nor lose the dict."""
-        from repro.design.search import _Memo
-
-        memo = _Memo(capacity=8)
-        errors = []
-
-        def worker(offset):
-            try:
-                for i in range(2000):
-                    key = f"k{(i + offset) % 32}"
-                    memo.get(key)
-                    memo.put(key, {"i": i})
-            except Exception as exc:  # noqa: BLE001 - the assertion
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(o,)) for o in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        assert len(memo._data) <= 8
 
 
 class TestCounters:

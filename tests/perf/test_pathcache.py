@@ -7,10 +7,11 @@ import pytest
 from repro.perf import (
     PathCache,
     clear_shared_caches,
+    shared_cache_stats,
     shared_path_cache,
     topology_content_hash,
 )
-from repro.perf.pathcache import _REGISTRY, _REGISTRY_MAX
+from repro.perf.pathcache import _REGISTRY_MAX
 from repro.throughput.paths import ecmp_next_hops, k_shortest_paths
 from repro.topologies import fattree, jellyfish
 
@@ -179,12 +180,12 @@ class TestSharedRegistry:
     def test_lru_bound(self):
         for n in range(3, 3 + _REGISTRY_MAX + 5):
             shared_path_cache(nx.cycle_graph(n))
-        assert len(_REGISTRY) == _REGISTRY_MAX
+        assert shared_cache_stats()["entries"] == _REGISTRY_MAX
 
     def test_clear(self):
         shared_path_cache(nx.cycle_graph(5))
         assert clear_shared_caches() >= 1
-        assert len(_REGISTRY) == 0
+        assert shared_cache_stats()["entries"] == 0
 
 
 class TestPersistence:

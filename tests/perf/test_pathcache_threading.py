@@ -105,7 +105,7 @@ def test_lazy_structures_consistent_under_concurrency():
 
 
 def test_eviction_under_concurrent_distinct_topologies(monkeypatch):
-    monkeypatch.setattr(pathcache_mod, "_REGISTRY_MAX", 2)
+    monkeypatch.setattr(pathcache_mod._REGISTRY, "max_entries", 2)
     topologies = [jellyfish(10, 4, 2, seed=s) for s in range(THREADS)]
 
     def worker(i):

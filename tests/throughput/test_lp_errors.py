@@ -103,10 +103,10 @@ class TestEntryPointsRaiseTyped:
         assert info.value.context["demands"] == tm.num_flows
 
     def test_paths_formulation(self, instance, monkeypatch):
-        import repro.throughput.lp as lp
+        import repro.throughput.colgen as colgen
 
         topo, tm = instance
-        monkeypatch.setattr(lp, "linprog", lambda *a, **k: _FakeRes(3))
+        monkeypatch.setattr(colgen, "linprog", lambda *a, **k: _FakeRes(3))
         with pytest.raises(UnboundedError) as info:
             path_throughput(topo, tm, k=4)
         assert info.value.formulation == "paths"
