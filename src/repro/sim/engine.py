@@ -2,10 +2,14 @@
 
 A minimal, fast event loop: events are ``(time, sequence, callback, arg,
 handle)`` tuples in a binary heap.  The sequence number breaks ties FIFO
-and makes runs fully deterministic.  The hot path (:meth:`Engine.schedule`)
-allocates no closures and no handles: callbacks take one optional
-pre-bound argument.  Cancellable events (used for retransmission timers)
-go through :meth:`Engine.schedule_cancellable`.
+(events at one instant run in the order they were scheduled) and makes
+runs fully deterministic.  The hot paths (:meth:`Engine.schedule` and
+:meth:`Engine.schedule_at`) allocate no closures and no handles:
+callbacks take one optional pre-bound argument.  :meth:`Engine.schedule_at`
+pushes its absolute time unchanged, so a caller that computed an exact
+instant (a link's delivery time) gets exactly that instant.  Cancellable
+events (used for retransmission timers) go through
+:meth:`Engine.schedule_cancellable`.
 """
 
 from __future__ import annotations
@@ -96,12 +100,17 @@ class Engine:
     def schedule_at(
         self, when: float, callback: Callable, arg: Any = _NO_ARG
     ) -> None:
-        """Run ``callback`` at absolute time ``when`` (>= now)."""
+        """Run ``callback`` at absolute time ``when`` (>= now), exactly.
+
+        ``when`` goes on the heap as given: no round trip through a
+        relative delay, which ``now + (when - now)`` can round away.
+        """
         if when < self.now:
             raise ValueError(
                 f"cannot schedule in the past (when={when}, now={self.now})"
             )
-        self.schedule(when - self.now, callback, arg)
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, callback, arg, None))
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Process events in time order.

@@ -5,12 +5,26 @@ A link serializes packets at ``rate_bps``, holds a FIFO drop-tail queue of
 ``queue_bytes`` capacity, and implements DCTCP's marking rule: a packet is
 marked if the queue occupancy at its enqueue instant exceeds the marking
 threshold K (paper §6.4: K = 20 full-sized packets).
+
+A link is a closed-form FIFO server.  Its rate and order are fixed, so
+the moment it accepts a packet it knows when serialization starts
+(``max(now, previous finish)``) and ends, and it schedules exactly one
+event: the far-end delivery at ``finish + prop_delay``.  No event marks
+the end of serialization; the link keeps a backlog of the packets not
+yet fully serialized and retires its head entries once their finish
+time has passed, whenever it is offered a packet or read.
+
+Tie rule: a serialization that completes at instant t takes effect
+before any other event at t (a packet offered at t sees the queue with
+that packet gone).  Events at one instant run in the order they were
+scheduled, and a delivery counts as scheduled when its link accepted
+the packet.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Optional, Tuple
 
 from .engine import Engine
 from .packet import MSS, HEADER_BYTES, Packet
@@ -51,13 +65,12 @@ class Link:
         "sink",
         "queue_bytes",
         "ecn_threshold",
-        "_queue",
-        "_queued_bytes",
-        "_busy",
+        "_backlog",
+        "_backlog_bytes",
+        "_accepted_packets",
+        "_accepted_bytes",
         "dropped_packets",
         "marked_packets",
-        "transmitted_packets",
-        "transmitted_bytes",
         "max_queue_bytes",
     )
 
@@ -80,57 +93,75 @@ class Link:
         self.sink = sink
         self.queue_bytes = queue_bytes
         self.ecn_threshold = ecn_threshold_bytes
-        self._queue: Deque[Packet] = deque()
-        self._queued_bytes = 0
-        self._busy = False
+        # (finish time, wire bytes) of every accepted packet whose
+        # serialization had not finished at the last retirement; the head
+        # is the packet in service, the rest are waiting.
+        self._backlog: Deque[Tuple[float, int]] = deque()
+        self._backlog_bytes = 0
+        self._accepted_packets = 0
+        self._accepted_bytes = 0
         self.dropped_packets = 0
         self.marked_packets = 0
-        self.transmitted_packets = 0
-        self.transmitted_bytes = 0
         self.max_queue_bytes = 0
+
+    def _retire(self) -> None:
+        """Drop backlog entries whose serialization finished by now."""
+        backlog = self._backlog
+        now = self.engine.now
+        while backlog and backlog[0][0] <= now:
+            self._backlog_bytes -= backlog.popleft()[1]
 
     @property
     def queue_occupancy_bytes(self) -> int:
         """Bytes currently waiting (excludes the packet being serialized)."""
-        return self._queued_bytes
+        self._retire()
+        backlog = self._backlog
+        return self._backlog_bytes - backlog[0][1] if backlog else 0
+
+    @property
+    def transmitted_packets(self) -> int:
+        """Packets whose serialization has finished."""
+        self._retire()
+        return self._accepted_packets - len(self._backlog)
+
+    @property
+    def transmitted_bytes(self) -> int:
+        """Wire bytes of the packets whose serialization has finished."""
+        self._retire()
+        return self._accepted_bytes - self._backlog_bytes
 
     def send(self, packet: Packet) -> None:
-        """Offer a packet to this link; queues, marks, or drops it."""
-        if self._busy:
-            if self._queued_bytes + packet.wire_bytes > self.queue_bytes:
+        """Offer a packet to this link; queues, marks, or drops it.
+
+        An accepted packet's delivery is scheduled here, at the instant
+        its serialization ends plus the propagation delay.
+        """
+        wire = packet.wire_bytes
+        engine = self.engine
+        now = engine.now
+        backlog = self._backlog
+        # _retire() inlined: this runs once per packet hop.
+        while backlog and backlog[0][0] <= now:
+            self._backlog_bytes -= backlog.popleft()[1]
+        if backlog:
+            waiting = self._backlog_bytes - backlog[0][1] + wire
+            if waiting > self.queue_bytes:
                 self.dropped_packets += 1
                 return
-            self._queue.append(packet)
-            self._queued_bytes += packet.wire_bytes
-            if self._queued_bytes > self.max_queue_bytes:
-                self.max_queue_bytes = self._queued_bytes
-            if (
-                self.ecn_threshold is not None
-                and self._queued_bytes > self.ecn_threshold
-            ):
+            if waiting > self.max_queue_bytes:
+                self.max_queue_bytes = waiting
+            if self.ecn_threshold is not None and waiting > self.ecn_threshold:
                 packet.ecn_marked = True
                 self.marked_packets += 1
+            start = backlog[-1][0]
         else:
-            self._busy = True
-            self._transmit(packet)
-
-    def _transmit(self, packet: Packet) -> None:
-        tx_time = packet.wire_bytes * 8.0 / self.rate_bps
-        self.engine.schedule(tx_time, self._tx_done, packet)
-
-    def _tx_done(self, packet: Packet) -> None:
-        self.transmitted_packets += 1
-        self.transmitted_bytes += packet.wire_bytes
-        if self.prop_delay > 0.0:
-            self.engine.schedule(self.prop_delay, self.sink, packet)
-        else:
-            self.sink(packet)
-        if self._queue:
-            nxt = self._queue.popleft()
-            self._queued_bytes -= nxt.wire_bytes
-            self._transmit(nxt)
-        else:
-            self._busy = False
+            start = now
+        finish = start + wire * 8.0 / self.rate_bps
+        backlog.append((finish, wire))
+        self._backlog_bytes += wire
+        self._accepted_packets += 1
+        self._accepted_bytes += wire
+        engine.schedule_at(finish + self.prop_delay, self.sink, packet)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds spent transmitting bytes."""

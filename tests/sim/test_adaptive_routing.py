@@ -99,8 +99,13 @@ class TestAdaptiveEcmp:
                 if len(choices) >= 2:
                     loaded, other = choices[0], choices[1]
                     link = sim.network.switches[v].switch_ports[loaded]
-                    link._busy = True
-                    link._queued_bytes = 10**6
+                    # Three back-to-back packets: one in service, two waiting.
+                    for seq in range(3):
+                        link.send(Packet(
+                            flow_id=9, src_server=0, dst_server=1,
+                            dst_tor=dst, seq=seq * 1460, payload=1460,
+                        ))
+                    assert link.queue_occupancy_bytes > 0
                     pkt = Packet(
                         flow_id=3, src_server=0, dst_server=1, dst_tor=dst
                     )

@@ -7,9 +7,10 @@ callback order, clock values, per-call counts, cancellation accounting
 and full packet-simulation metrics.  Any change to the loop must keep
 them.
 
-Also the `schedule_at` regression: scheduling in the past must raise a
+Also the `schedule_at` regressions: scheduling in the past must raise a
 ``ValueError`` that talks about the absolute ``when`` the caller passed,
-not the internally derived ``delay``.
+not the internally derived ``delay``, and an event scheduled at ``when``
+fires at exactly ``when``.
 """
 
 import pytest
@@ -31,6 +32,15 @@ class TestScheduleAtRegression:
         assert "when=0.25" in message
         assert "now=1.0" in message
         assert "delay=" not in message
+
+    def test_fires_exactly_at_when(self):
+        # ``now + (when - now)`` rounds to 0.02053538413683772 here.
+        now, when = 0.000359422031985154, 0.020535384136837715
+        e = Engine()
+        seen = []
+        e.schedule_at(now, lambda: e.schedule_at(when, lambda: seen.append(e.now)))
+        e.run()
+        assert seen == [when]
 
     def test_exactly_now_is_allowed(self):
         e = Engine()
