@@ -7,16 +7,17 @@ re-solves.  The reference arm is what a sweep without any reuse pays:
 one self-contained ``max_concurrent_throughput`` per point (fresh
 ArcTable, fresh assembly, cold simplex).
 
-Records ``lp_warm_sweep`` into ``BENCH_perf.json`` (read-modify-write
-after the kernel writer, like ``test_solver_batched.py``) together with
-an equivalence check against ``highs-exact``.  The acceptance gate
-depends on the engine actually available:
+Both engines are measured in one run, each into its own
+``BENCH_perf.json`` entry (read-modify-write after the kernel writer,
+like ``test_solver_batched.py``) together with an equivalence check
+against ``highs-exact``:
 
-* with ``highspy`` (the ``[perf]`` extra): dual-simplex basis reuse —
-  gate >= 3x on the 14-point sweep;
-* pure-scipy fallback: structure/assembly reuse only (every point still
-  pays a cold simplex), so the gate is parity (1.0) and the teeth are in
-  the byte-identity assertions.
+* ``lp_warm_sweep`` — the default ``mode=fallback``: structure/assembly
+  reuse only (every point still pays a cold simplex), so the gate is
+  parity (1.0) and the teeth are in the byte-identity assertions;
+* ``lp_warm_sweep_core`` — ``mode=core``: dual-simplex basis reuse on
+  scipy's bundled HiGHS core, within 1e-9 of ``highs-exact`` and gated
+  at >= 3x on the 14-point sweep.
 
 Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke).
 """
@@ -27,10 +28,13 @@ import json
 import os
 import time
 
-from repro.solvers import HighsIncrementalBackend, have_highspy
+import pytest
+
+from repro.solvers import HighsIncrementalBackend, have_highs_core
 from repro.throughput import max_concurrent_throughput
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
+from repro.version import __version__
 
 QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
 BENCH_PATH = os.path.join(
@@ -62,7 +66,18 @@ def _best(fn, repeats: int = 2):
     return best, result
 
 
-def test_warm_sweep_speedup_and_equivalence():
+#: mode -> (BENCH_perf.json entry, speedup gate on the full grid)
+ENGINES = {
+    "fallback": ("lp_warm_sweep", 1.0),
+    "core": ("lp_warm_sweep_core", 3.0),
+}
+
+
+@pytest.mark.parametrize("mode", list(ENGINES))
+def test_warm_sweep_speedup_and_equivalence(mode):
+    if mode == "core" and not have_highs_core():
+        pytest.skip("needs scipy's bundled HiGHS core")
+    entry, gate = ENGINES[mode]
     topo, tms = _workload()
 
     def cold():
@@ -71,7 +86,7 @@ def test_warm_sweep_speedup_and_equivalence():
     def warm():
         # Fresh backend per repeat: the measurement includes the one
         # cold model build (a sweep costs ~1 cold + N-1 warm solves).
-        return HighsIncrementalBackend().solve_many(topo, tms)
+        return HighsIncrementalBackend(mode=mode).solve_many(topo, tms)
 
     cold_s, cold_results = _best(cold)
     warm_s, warm_outcomes = _best(warm)
@@ -80,38 +95,37 @@ def test_warm_sweep_speedup_and_equivalence():
     assert [o.warm_started for o in warm_outcomes] == (
         [False] + [True] * (NUM_POINTS - 1)
     )
-    highspy = have_highspy()
     for exact, outcome in zip(cold_results, warm_outcomes):
-        # Equivalence gate vs highs-exact: byte-identical on the scipy
-        # fallback, 1e-9 with the highspy engine.
-        if highspy:
+        # Equivalence gate vs highs-exact: byte-identical on the
+        # linprog fallback, 1e-9 with basis reuse on the core.
+        if mode == "core":
             assert abs(outcome.result.throughput - exact.throughput) <= 1e-9
         else:
             assert outcome.result.throughput == exact.throughput
             assert outcome.result.link_utilization == exact.link_utilization
 
-    gate = 3.0 if highspy else 1.0
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
-    _RESULTS["lp_warm_sweep"] = {
+    _RESULTS[entry] = {
         "reference_s": cold_s,
         "accelerated_s": warm_s,
         "speedup": round(speedup, 2),
         "gate": gate,
+        "library_version": __version__,
         "params": {
             "switches": SWITCHES,
             "points": NUM_POINTS,
-            "mode": "highspy" if highspy else "fallback",
+            "mode": mode,
             "basis_reused": sum(o.basis_reused for o in warm_outcomes),
         },
     }
     if QUICK:
         assert speedup > 0.5
-    elif highspy:
-        assert speedup >= 3.0, _RESULTS["lp_warm_sweep"]
+    elif mode == "core":
+        assert speedup >= gate, _RESULTS[entry]
     else:
         # Fallback: structure reuse must not be slower than cold solves
         # (the simplex dominates; allow generous scheduler noise).
-        assert speedup > 0.7, _RESULTS["lp_warm_sweep"]
+        assert speedup > 0.7, _RESULTS[entry]
 
 
 def test_zzz_update_bench_json():
@@ -130,6 +144,7 @@ def test_zzz_update_bench_json():
     from repro.ioutils import atomic_write_json
 
     atomic_write_json(path, payload, sort_keys=True)
-    entry = payload["kernels"]["lp_warm_sweep"]
     if not QUICK:
-        assert entry["speedup"] >= entry["gate"], entry
+        for name in _RESULTS:
+            entry = payload["kernels"][name]
+            assert entry["speedup"] >= entry["gate"], entry

@@ -10,8 +10,8 @@ structure survives between requests:
 * **solver contexts** — one per (topology, context kind, solver
   parameters): the exact edge LP's
   :class:`~repro.throughput.EdgeLpContext` (ArcTable, component labels,
-  assembled LP structures and — with the optional ``highspy``
-  dependency — live solver instances whose simplex bases carry over),
+  assembled LP structures and — with ``mode=core`` — live HiGHS models
+  whose simplex bases carry over),
   shared by ``highs-exact`` / ``exact`` / ``highs-batched`` /
   ``highs-incremental``, and colgen's
   :class:`~repro.throughput.ColgenTopologyContext` (its path pool), so

@@ -21,15 +21,17 @@ backend abstraction in front of it:
 The exact edge LP has one implementation,
 :class:`~repro.throughput.lp.EdgeLpContext`: ``highs-exact`` uses it
 one-shot, ``highs-incremental`` / ``highs-batched`` keep it warm.  Its
-pure-scipy path is byte-identical to ``highs-exact``; with the optional
-``highspy`` dependency (the ``[perf]`` extra) warm solves re-solve with
-dual simplex from the previous basis.  ``mcf-approx`` is guaranteed
-within its (1 - O(epsilon)) bound and never above the exact optimum.
+default ``linprog`` path is byte-identical to ``highs-exact``; with
+``mode=core`` warm solves re-solve with dual simplex from the previous
+basis on scipy's bundled HiGHS core, the one binding column generation
+also runs on (:func:`have_highs_core` says whether it imports).
+``mcf-approx`` is guaranteed within its (1 - O(epsilon)) bound and
+never above the exact optimum.
 See ``docs/solvers.md`` and the warm-start section of
 ``docs/performance.md``.
 """
 
-from ..throughput.lp import have_highspy
+from ..throughput.highs import have_highs_core
 from .backends import (
     HighsColgenBackend,
     HighsExactBackend,
@@ -59,7 +61,7 @@ __all__ = [
     "HighsColgenBackend",
     "HighsPathsBackend",
     "McfApproxBackend",
-    "have_highspy",
+    "have_highs_core",
     "warm_start_stats",
     "reset_warm_start_stats",
     "register_builtin_solvers",

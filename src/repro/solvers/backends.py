@@ -7,18 +7,17 @@ Five backends under eight registry names:
 * ``highs-incremental`` (alias ``highs-batched``) — the same edge LP
   through a warm :class:`~repro.throughput.lp.EdgeLpContext`: cached
   constraint structure per demand support across sweep points and
-  calls, and with the optional ``highspy`` dependency (the ``[perf]``
-  extra) dual-simplex re-solves from the previous basis.  Knob ``mode``
-  (auto / highspy / fallback); ``fallback`` is byte-identical to
-  ``highs-exact``.  ``solve_many`` is what the harness Runner batches
-  fixed-topology sweeps through.
+  calls.  Knob ``mode``: the default ``fallback`` re-solves with
+  ``linprog`` and is byte-identical to ``highs-exact``; ``core`` (or
+  ``auto``, where scipy's bundled HiGHS core imports) re-solves by dual
+  simplex from the previous basis.  ``solve_many`` is what the harness
+  Runner batches fixed-topology sweeps through.
 * ``highs-colgen`` — exact *path* LP by column generation through a warm
   :class:`~repro.throughput.colgen.ColgenTopologyContext`: restricted
   master over a persistent path pool + dual-price pricing loop,
   converging to the same optimum as ``highs-exact`` with masters small
   enough to scale an order of magnitude further.  Knobs ``k``,
-  ``phases``, ``passes``, ``max_rounds``, ``mode`` (auto / core /
-  fallback).
+  ``phases``, ``passes``, ``max_rounds``, ``mode`` (default ``auto``).
 * ``highs-paths`` (alias ``paths``) — k-shortest-paths LP lower bound
   via :func:`~repro.throughput.lp.path_throughput`, which is the
   colgen master solved once with pricing off; knob ``k``.  A cold
@@ -28,6 +27,11 @@ Five backends under eight registry names:
   (:func:`~repro.throughput.mcf.approx_concurrent_throughput`); knob
   ``epsilon`` in (0, 0.5), guaranteeing a (1 - O(epsilon)) fraction of
   the exact optimum (never above it).
+
+The two warm backends share one ``mode`` table (:data:`MODES`):
+``auto`` runs on scipy's bundled HiGHS core where it imports and on
+``linprog`` otherwise, ``core`` requires the core, ``fallback`` forces
+``linprog``; ``highspy`` is accepted as a synonym of ``core``.
 
 Every outcome carries the registry name the caller asked for
 (``exact`` reports ``exact``, ``highs-batched`` reports
@@ -39,11 +43,11 @@ from __future__ import annotations
 import numbers
 from typing import Any, Callable, Optional
 
-from ..throughput.colgen import ColgenTopologyContext, have_highs_core
+from ..throughput.colgen import ColgenTopologyContext
+from ..throughput.highs import have_highs_core
 from ..throughput.lp import (
     EdgeLpContext,
     ThroughputResult,
-    have_highspy,
     max_concurrent_throughput,
     path_throughput,
 )
@@ -58,6 +62,27 @@ __all__ = [
     "McfApproxBackend",
     "register_builtin_solvers",
 ]
+
+
+#: The warm backends' ``mode`` knob: does the engine run on scipy's
+#: bundled HiGHS core?  ``None`` means wherever the core imports.
+MODES = {"auto": None, "core": True, "highspy": True, "fallback": False}
+
+
+def _use_core(mode: Any) -> bool:
+    """Resolve a ``mode`` knob to whether the engine runs on the core."""
+    if not isinstance(mode, str) or mode not in MODES:
+        raise ValueError(
+            f"mode must be auto/core/fallback (highspy = core), got {mode!r}"
+        )
+    if MODES[mode] is None:
+        return have_highs_core()
+    if MODES[mode] and not have_highs_core():
+        raise ValueError(
+            f"mode={mode!r} needs scipy's bundled HiGHS core, which this "
+            "scipy build lacks; use mode='auto' or 'fallback'"
+        )
+    return MODES[mode]
 
 
 def _int_knob(name: str, value: Any, minimum: int) -> int:
@@ -92,41 +117,35 @@ class HighsExactBackend(SolverBackend):
 class HighsIncrementalBackend(WarmBackend):
     """Exact edge LP with cross-point *and* cross-call warm starts.
 
-    ``mode`` selects the engine: ``"auto"`` uses ``highspy`` when the
-    ``[perf]`` extra is installed and falls back to the pure-scipy
-    structure-reuse path otherwise; ``"highspy"`` requires the extra;
-    ``"fallback"`` forces scipy (the byte-identical-to-``highs-exact``
-    path) even when ``highspy`` is available.
+    ``mode`` selects the engine from :data:`MODES`.  The default,
+    ``"fallback"``, patches cached matrices and re-solves with
+    ``linprog``: byte-identical to ``highs-exact``.  ``"core"`` keeps a
+    live HiGHS model per cached structure and re-solves by dual simplex
+    from the previous basis (within 1e-9 of ``highs-exact``, faster on
+    sweeps, more memory per structure); ``"auto"`` is ``core`` where
+    the bundled core imports.
     """
 
     name = "highs-incremental"
     context_kind = EdgeLpContext.kind
 
-    def __init__(self, mode: str = "auto"):
+    def __init__(self, mode: str = "fallback"):
         super().__init__()
-        if mode not in ("auto", "highspy", "fallback"):
-            raise ValueError(
-                f"mode must be auto/highspy/fallback, got {mode!r}"
-            )
-        if mode == "highspy" and not have_highspy():
-            raise ValueError(
-                "mode='highspy' needs the optional highspy dependency; "
-                "install the [perf] extra (pip install 'repro[perf]')"
-            )
+        self.use_core = _use_core(mode)
         self.mode = mode
 
     def new_context(self, topology) -> EdgeLpContext:
-        use_highspy = None if self.mode == "auto" else self.mode == "highspy"
-        return EdgeLpContext(topology, use_highspy=use_highspy)
+        return EdgeLpContext(topology, use_core=self.use_core)
 
 
 class HighsColgenBackend(WarmBackend):
     """Exact path LP by column generation, with a persistent path pool.
 
-    ``mode`` selects the engine: ``"auto"`` uses the scipy-bundled
-    HiGHS core when importable (warm ``addCols`` re-solves) and the
-    pure-``linprog`` loop otherwise; ``"core"`` requires the bundled
-    core; ``"fallback"`` forces ``linprog`` (tests, portability).
+    ``mode`` selects the engine from :data:`MODES`: the default,
+    ``"auto"``, runs warm ``addCols`` re-solves on scipy's bundled
+    HiGHS core where it imports and the pure-``linprog`` loop
+    otherwise; ``"core"`` requires the core; ``"fallback"`` forces
+    ``linprog`` (tests, portability).
     """
 
     name = "highs-colgen"
@@ -141,16 +160,7 @@ class HighsColgenBackend(WarmBackend):
         mode: str = "auto",
     ):
         super().__init__()
-        if mode not in ("auto", "core", "fallback"):
-            raise ValueError(
-                f"mode must be auto/core/fallback, got {mode!r}"
-            )
-        if mode == "core" and not have_highs_core():
-            raise ValueError(
-                "mode='core' needs scipy's bundled HiGHS core "
-                "(scipy.optimize._highspy), which this scipy build lacks; "
-                "use mode='auto' or 'fallback'"
-            )
+        self.use_core = _use_core(mode)
         self.k = _int_knob("k", k, 1)
         self.phases = None if phases is None else _int_knob("phases", phases, 0)
         self.passes = _int_knob("passes", passes, 1)
@@ -166,7 +176,7 @@ class HighsColgenBackend(WarmBackend):
             phases=self.phases,
             passes=self.passes,
             max_rounds=self.max_rounds,
-            use_core=None if self.mode == "auto" else self.mode == "core",
+            use_core=self.use_core,
         )
 
 
@@ -230,9 +240,9 @@ def register_builtin_solvers(registry) -> None:
     )
     registry.register(
         "highs-incremental", HighsIncrementalBackend,
-        "exact edge LP, warm-started across sweep points (structure + "
-        "basis reuse with the optional highspy [perf] extra; pure-scipy "
-        "fallback stays byte-identical to highs-exact); mode",
+        "exact edge LP, warm-started across sweep points (structure "
+        "reuse, byte-identical to highs-exact; mode=core adds basis "
+        "reuse on scipy's bundled HiGHS core); mode",
     )
     registry.register(
         "highs-batched", _alias(HighsIncrementalBackend, "highs-batched"),

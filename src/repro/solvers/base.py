@@ -83,8 +83,8 @@ class SolveOutcome:
         every demand (colgen); always False for cold paths.
     basis_reused:
         True when the solver additionally re-solved with dual simplex
-        from the previous basis (the warm edge LP with ``highspy``
-        installed; the scipy fallback reuses structure but not bases).
+        from the previous basis (the warm edge LP with ``mode=core``;
+        the default ``linprog`` path reuses structure but not bases).
     """
 
     status: SolveStatus

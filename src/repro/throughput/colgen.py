@@ -43,11 +43,11 @@ Three tricks keep the loop short and the endgame honest:
 
 Two engines share the formulation:
 
-* the scipy-bundled HiGHS core (``scipy.optimize._highspy._core``) —
-  model built once, new columns appended with ``addCols`` and re-solved
-  warm from the previous basis;
-* a pure ``linprog`` fallback (used when the private module is absent)
-  that re-assembles the restricted master each round — same pool, same
+* scipy's bundled HiGHS core (through :mod:`repro.throughput.highs`,
+  the binding the warm edge LP shares) — model built once, new columns
+  appended with ``addCols`` and re-solved warm from the previous basis;
+* a pure ``linprog`` fallback (used when the core is absent) that
+  re-assembles the restricted master each round — same pool, same
   pricing, same stop rule, just without warm re-solves.
 
 Degenerate conventions, the failure taxonomy, and the result type are
@@ -71,6 +71,7 @@ from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .arcs import ArcTable
 from .errors import SolverNumericalError, raise_for_linprog
+from .highs import build_model, have_highs_core, raise_for_status
 from .lp import (
     ThroughputResult,
     _component_labels,
@@ -80,7 +81,6 @@ from .lp import (
 __all__ = [
     "ColgenStats",
     "ColgenTopologyContext",
-    "have_highs_core",
     "path_colgen_throughput",
     "colgen_solve",
 ]
@@ -94,45 +94,6 @@ _MWU_EPS = 0.25
 #: Persistent-pool bound per demand pair (warm contexts; the optimum's
 #: support rarely needs more than a few dozen paths per demand).
 POOL_CAP_PER_PAIR = 64
-
-# ----------------------------------------------------------------------
-# Optional scipy-bundled HiGHS core (no new dependency: scipy ships it)
-# ----------------------------------------------------------------------
-_CORE: Optional[Any] = None
-_CORE_CHECKED = False
-_CORE_LOCK = threading.Lock()
-
-
-def have_highs_core() -> bool:
-    """Whether scipy's bundled HiGHS core bindings import.
-
-    This is scipy's own private ``_highspy`` module (present in every
-    scipy build that ships the HiGHS ``linprog`` methods), not the
-    standalone ``highspy`` package — no extra install involved.  When it
-    is absent the column-generation loop falls back to re-assembled
-    ``linprog`` masters: same optimum, no warm re-solves.
-    """
-    return _highs_core() is not None
-
-
-def _highs_core() -> Optional[Any]:
-    global _CORE, _CORE_CHECKED
-    with _CORE_LOCK:
-        if not _CORE_CHECKED:
-            _CORE_CHECKED = True
-            try:
-                from scipy.optimize._highspy import _core  # type: ignore
-
-                # The surface we need; older/newer layouts fall back.
-                for attr in ("_Highs", "HighsLp", "kHighsInf",
-                             "MatrixFormat", "HighsModelStatus"):
-                    if not hasattr(_core, attr):
-                        raise ImportError(f"missing {attr}")
-                _CORE = _core
-            except ImportError:
-                _CORE = None
-        return _CORE
-
 
 @dataclass
 class ColgenStats:
@@ -394,24 +355,6 @@ def _master_arrays(
     return starts, idx, val, counts, flat
 
 
-def _raise_for_core_status(hcore, h, formulation, context) -> None:
-    status = h.getModelStatus()
-    if status == hcore.HighsModelStatus.kOptimal:
-        return
-    from .errors import InfeasibleError, UnboundedError
-
-    name = h.modelStatusToString(status)
-    kinds = {
-        getattr(hcore.HighsModelStatus, "kInfeasible", None): InfeasibleError,
-        getattr(hcore.HighsModelStatus, "kUnbounded", None): UnboundedError,
-    }
-    raise kinds.get(status, SolverNumericalError)(
-        f"{formulation} master failed: HiGHS reported {name}",
-        formulation=formulation,
-        context=context,
-    )
-
-
 # ----------------------------------------------------------------------
 # Engine 1: warm addCols loop on the scipy-bundled HiGHS core
 # ----------------------------------------------------------------------
@@ -427,37 +370,14 @@ def _solve_core(
 ) -> Tuple[float, np.ndarray, int]:
     """Column-generation loop with warm re-solves; returns
     ``(t, per-column flows in pool order, iterations)``."""
-    hcore = _highs_core()
     nd = pricer.nd
-    m = caps.size
-    inf = hcore.kHighsInf
     dem_vals = pricer.dem_vals
 
     nv0 = len(pool)
     starts, idx, val, _counts, _flat = _master_arrays(pool, dem_vals, nd)
-    h = hcore._Highs()
-    h.setOptionValue("output_flag", False)
-    h.setOptionValue("threads", 1)
-    lp = hcore.HighsLp()
-    lp.num_col_ = nv0 + 1
-    lp.num_row_ = nd + m
     cost = np.zeros(nv0 + 1)
     cost[nv0] = -1.0
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(nv0 + 1)
-    lp.col_upper_ = np.full(nv0 + 1, inf)
-    row_lower = np.full(nd + m, -inf)
-    row_lower[:nd] = 0.0
-    row_upper = np.empty(nd + m)
-    row_upper[:nd] = 0.0
-    row_upper[nd:] = caps
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    lp.a_matrix_.format_ = hcore.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = starts.astype(np.int32)
-    lp.a_matrix_.index_ = idx
-    lp.a_matrix_.value_ = val
-    h.passModel(lp)
+    h = build_model(cost, starts, idx, val, nd, caps)
     iterations = 0
 
     def _run() -> None:
@@ -468,7 +388,7 @@ def _solve_core(
         solved += int(getattr(info, "ipm_iteration_count", 0) or 0)
         iterations += solved
         obs.add("lp.solver_iterations", solved)
-        _raise_for_core_status(hcore, h, formulation, context)
+        raise_for_status(h, formulation, context, iterations)
 
     # Cold solve: the path LP is massively degenerate under simplex
     # (thousands of equal-length alternatives), while IPM converges in
@@ -527,7 +447,7 @@ def _solve_core(
             )
         with obs.span("colgen.master", columns=nn, warm=True):
             h.addCols(
-                nn, np.zeros(nn), np.zeros(nn), np.full(nn, inf),
+                nn, np.zeros(nn), np.zeros(nn), np.full(nn, np.inf),
                 int(cstarts[-1]), cstarts.astype(np.int32), cidx, cval,
             )
             _run()
@@ -538,6 +458,7 @@ def _solve_core(
                 f"colgen did not converge within max_rounds ({stats.rounds} "
                 f"rounds, gap {best_ub - (-h.getObjectiveValue()):.3e})",
                 formulation="colgen",
+                iterations=iterations,
                 context=context,
             )
 
@@ -618,6 +539,7 @@ def _solve_linprog(
             raise SolverNumericalError(
                 f"colgen did not converge within max_rounds ({stats.rounds})",
                 formulation="colgen",
+                iterations=iterations,
                 context=context,
             )
         with obs.span("colgen.master", columns=len(pool), warm=False):

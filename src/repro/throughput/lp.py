@@ -11,8 +11,8 @@ classic *maximum concurrent flow* problem.  Two formulations are provided:
   ``(#pairs) x (#arcs)``; optimal value is unchanged (flows to the same
   destination can always be merged).  :class:`EdgeLpContext` is the one
   implementation: a per-topology context that also caches assembled
-  LPs across solves (and, with the optional ``highspy`` dependency,
-  simplex bases); the function is a one-shot use of it.
+  LPs across solves (and, on scipy's bundled HiGHS core, simplex
+  bases); the function is a one-shot use of it.
 * :func:`path_throughput` — restricted to k shortest paths per demand
   (a lower bound on the exact optimum, asymptotically tight as k grows);
   much smaller LPs on large networks.  It is the path master of
@@ -45,12 +45,8 @@ from ..perf import Lru
 from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .arcs import ArcTable
-from .errors import (
-    InfeasibleError,
-    SolverNumericalError,
-    UnboundedError,
-    raise_for_linprog,
-)
+from .errors import SolverNumericalError, raise_for_linprog
+from .highs import build_model, have_highs_core, raise_for_status
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perf import PathCache
@@ -58,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ThroughputResult",
     "EdgeLpContext",
-    "have_highspy",
     "max_concurrent_throughput",
     "path_throughput",
 ]
@@ -334,31 +329,6 @@ def _exact_result(
     )
 
 
-# ----------------------------------------------------------------------
-# Optional highspy dependency (the [perf] extra)
-# ----------------------------------------------------------------------
-_HIGHSPY: Optional[Any] = None
-_HIGHSPY_CHECKED = False
-
-
-def have_highspy() -> bool:
-    """Whether the optional ``highspy`` module (``[perf]`` extra) imports."""
-    return _highspy() is not None
-
-
-def _highspy() -> Optional[Any]:
-    global _HIGHSPY, _HIGHSPY_CHECKED
-    if not _HIGHSPY_CHECKED:
-        _HIGHSPY_CHECKED = True
-        try:
-            import highspy  # type: ignore
-
-            _HIGHSPY = highspy
-        except ImportError:
-            _HIGHSPY = None
-    return _HIGHSPY
-
-
 #: Bound on cached LP structures per context (distinct demand supports).
 DEFAULT_MAX_STRUCTURES = 32
 
@@ -394,7 +364,7 @@ class _LpStructure:
     demand_slots: np.ndarray  # index into a_eq.data per support entry
     demand_rows: np.ndarray  # equality-row index per support entry
     values: np.ndarray  # current (positive) demand values, support order
-    highs: Any = None  # persistent highspy.Highs, when available
+    highs: Any = None  # persistent HiGHS core model, with use_core
     solved_once: bool = False
 
 
@@ -408,15 +378,16 @@ class EdgeLpContext:
     cached support patches only the demand coefficients of ``t`` and
     re-solves:
 
-    * with ``highspy`` (the optional ``[perf]`` extra) the model lives
-      in a persistent ``highspy.Highs`` instance, patched through
-      ``changeCoeff`` and re-solved by dual simplex from the previous
-      basis;
-    * without it, the patched canonical CSR matrices are *identical* to
-      fresh assembly and go through the same ``linprog`` call as a cold
-      solve, so results are byte-identical to
-      :func:`max_concurrent_throughput` — which is itself a one-shot
-      ``use_highspy=False`` context solved with ``warm=False``.
+    * with ``use_core=True`` the model lives in a persistent HiGHS
+      model on scipy's bundled core (:mod:`repro.throughput.highs`),
+      patched through ``changeCoeff`` and re-solved by dual simplex
+      from the previous basis — within 1e-9 of a cold solve, and each
+      cached structure keeps its live model;
+    * by default (``use_core=False``) the patched canonical CSR
+      matrices are *identical* to fresh assembly and go through the
+      same ``linprog`` call as a cold solve, so results are
+      byte-identical to :func:`max_concurrent_throughput` — which is
+      itself a one-shot context solved with ``warm=False``.
 
     Solves never serialize on the context: the structure LRU (a
     :class:`repro.perf.Lru`) locks only around its own dictionary
@@ -431,17 +402,17 @@ class EdgeLpContext:
     def __init__(
         self,
         topology: Topology,
-        use_highspy: Optional[bool] = None,
+        use_core: bool = False,
         max_structures: int = DEFAULT_MAX_STRUCTURES,
     ):
         self.topology = topology
         self.table = ArcTable.from_topology(topology)
         self.labels: Dict[int, int] = _component_labels(topology.graph)
-        self.use_highspy = have_highspy() if use_highspy is None else bool(use_highspy)
-        if self.use_highspy and not have_highspy():
+        self.use_core = bool(use_core)
+        if self.use_core and not have_highs_core():
             raise ValueError(
-                "highspy is not installed; install the [perf] extra "
-                "(pip install 'repro[perf]') or use the scipy fallback"
+                "use_core=True needs scipy's bundled HiGHS core, which "
+                "this scipy build lacks; use the linprog engine"
             )
         self.max_structures = int(max_structures)
         self._structures = Lru(self.max_structures, "lp.structures")
@@ -502,7 +473,7 @@ class EdgeLpContext:
         context = {"topology": self.topology.name, "demands": tm.num_flows}
         try:
             if structure.highs is not None:
-                result = self._solve_highspy(
+                result = self._solve_core(
                     structure, per_server_demand, dropped, context
                 )
             else:
@@ -558,14 +529,14 @@ class EdgeLpContext:
             demand_rows=rows,
             values=-a_eq.data[slots].copy(),
         )
-        if self.use_highspy:
+        if self.use_core:
             structure.highs = self._build_highs_model(structure)
         return structure
 
     def _patch_values(
         self, structure: _LpStructure, values: np.ndarray
     ) -> None:
-        """Mutate only the changed demand coefficients (scipy + highspy)."""
+        """Mutate only the changed demand coefficients (scipy + HiGHS)."""
         changed = np.nonzero(values != structure.values)[0]
         if changed.size == 0:
             return
@@ -605,47 +576,26 @@ class EdgeLpContext:
         )
 
     # ------------------------------------------------------------------
-    # highspy model: built once, mutated + re-solved from the basis
+    # HiGHS core model: built once, mutated + re-solved from the basis
     # ------------------------------------------------------------------
     def _build_highs_model(self, structure: _LpStructure):
-        highspy = _highspy()
-        table = self.table
-        num_vars = structure.num_dests * table.num_arcs + 1
-        num_eq = structure.a_eq.shape[0]
         matrix = sp.vstack([structure.a_eq, structure.a_ub]).tocsc()
-        inf = highspy.kHighsInf
-
-        lp = highspy.HighsLp()
-        lp.num_col_ = num_vars
-        lp.num_row_ = num_eq + table.num_arcs
-        lp.col_cost_ = _c_for_exact(num_vars)
-        lp.col_lower_ = np.zeros(num_vars)
-        lp.col_upper_ = np.full(num_vars, inf)
-        lp.row_lower_ = np.concatenate(
-            [np.zeros(num_eq), np.full(table.num_arcs, -inf)]
+        return build_model(
+            _c_for_exact(matrix.shape[1]),
+            matrix.indptr,
+            matrix.indices,
+            matrix.data,
+            structure.a_eq.shape[0],
+            self.table.caps,
         )
-        lp.row_upper_ = np.concatenate(
-            [np.zeros(num_eq), np.asarray(table.caps, dtype=float)]
-        )
-        lp.a_matrix_.format_ = highspy.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = matrix.indptr
-        lp.a_matrix_.index_ = matrix.indices
-        lp.a_matrix_.value_ = matrix.data
 
-        h = highspy.Highs()
-        h.setOptionValue("output_flag", False)
-        h.setOptionValue("threads", 1)
-        h.passModel(lp)
-        return h
-
-    def _solve_highspy(
+    def _solve_core(
         self,
         structure: _LpStructure,
         per_server_demand: float,
         dropped: int,
         context: Dict[str, Any],
     ) -> ThroughputResult:
-        highspy = _highspy()
         t_var = structure.num_dests * self.table.num_arcs
         h = structure.highs
         with obs.span(
@@ -653,25 +603,10 @@ class EdgeLpContext:
             warm=structure.solved_once,
         ):
             h.run()
-        status = h.getModelStatus()
         info = h.getInfo()
         iterations = int(getattr(info, "simplex_iteration_count", 0) or 0)
         obs.add("lp.solver_iterations", iterations)
-        if status != highspy.HighsModelStatus.kOptimal:
-            kinds = {
-                getattr(highspy.HighsModelStatus, "kInfeasible", None):
-                    InfeasibleError,
-                getattr(highspy.HighsModelStatus, "kUnbounded", None):
-                    UnboundedError,
-                getattr(highspy.HighsModelStatus, "kUnboundedOrInfeasible", None):
-                    InfeasibleError,
-            }
-            raise kinds.get(status, SolverNumericalError)(
-                f"throughput LP failed: HiGHS reported {status}",
-                formulation="exact",
-                iterations=iterations,
-                context=context,
-            )
+        raise_for_status(h, "exact", context, iterations)
         x = np.asarray(h.getSolution().col_value, dtype=float)
         return _exact_result(
             self.table, x, structure.num_dests, per_server_demand,
@@ -689,7 +624,7 @@ class EdgeLpContext:
                 "models_built": self.models_built,
                 "warm_solves": self.warm_solves,
                 "cold_solves": self.cold_solves,
-                "highspy": self.use_highspy,
+                "engine": "highs-core" if self.use_core else "linprog",
             }
 
 
@@ -730,7 +665,7 @@ def max_concurrent_throughput(
     ``(0.0, 0.0)`` with ``disconnected_pairs`` set (see
     :class:`ThroughputResult`).
     """
-    return EdgeLpContext(topology, use_highspy=False).solve(
+    return EdgeLpContext(topology).solve(
         tm, per_server_demand, warm=False
     )
 

@@ -202,7 +202,7 @@ def test_context_surfaces_warm_start_counters_and_incremental_stats(client):
     assert ctx["kind"] == "edge-lp"
     assert ctx["models_built"] >= 1
     assert ctx["cold_solves"] >= 1
-    assert ctx["highspy"] in (True, False)
+    assert ctx["engine"] == "linprog"
     # The third request repeated fraction 0.5 → served from the result
     # memo, so solves stay at two and both were cold (new supports).
     assert ctx["cold_solves"] + ctx["warm_solves"] == 2

@@ -16,8 +16,8 @@ FRACTIONS = [1.0, 0.75, 0.5]
 
 def _specs(solver, prefix="p", mode=None, **extra):
     """One lp spec per fraction; ``mode`` sets the workload's
-    ``solver_mode`` (``"fallback"`` pins the scipy path, byte-identical
-    to ``exact`` even where ``highspy`` is installed)."""
+    ``solver_mode`` (``"fallback"``, also the default, pins the linprog
+    path, byte-identical to ``exact``)."""
     workload = {"solver": solver}
     if mode is not None:
         workload["solver_mode"] = mode

@@ -2,9 +2,9 @@
 
 ``highs-batched`` in ``mode=fallback`` must be byte-identical to
 ``highs-exact`` — they share one LP implementation, so any drift is a
-refactoring bug.  (With ``highspy`` installed the default mode re-solves
-from simplex bases instead; that path keeps the 1e-9 bound of
-``tests/solvers/test_incremental.py``.)  ``mcf-approx``
+refactoring bug.  (With ``mode=core`` it re-solves from simplex bases
+on scipy's bundled HiGHS core instead; that path keeps the 1e-9 bound
+of ``tests/solvers/test_incremental.py``.)  ``mcf-approx``
 carries the Garg–Könemann guarantee: at accuracy ``epsilon`` the returned
 throughput is within ``(1 - epsilon')`` of optimal for a small
 ``epsilon'`` polynomial in ``epsilon``; we assert the documented

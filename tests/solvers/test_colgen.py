@@ -18,6 +18,7 @@ from repro import registry
 from repro.perf import topology_content_hash
 from repro.solvers import (
     HighsColgenBackend,
+    have_highs_core,
     reset_warm_start_stats,
     warm_start_stats,
 )
@@ -26,7 +27,7 @@ from repro.throughput import (
     max_concurrent_throughput,
     skew_sweep,
 )
-from repro.throughput.colgen import have_highs_core, path_colgen_throughput
+from repro.throughput.colgen import path_colgen_throughput
 from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
 

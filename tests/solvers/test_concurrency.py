@@ -123,5 +123,5 @@ def test_flags_belong_to_their_own_solve(topo, monkeypatch):
 def test_context_is_the_one_shot_exact_path(topo):
     """``max_concurrent_throughput`` is a one-shot scipy context solve."""
     tm = longest_matching_tm(topo, 0.75, seed=4)
-    one_shot = EdgeLpContext(topo, use_highspy=False).solve(tm, warm=False)
+    one_shot = EdgeLpContext(topo, use_core=False).solve(tm, warm=False)
     assert one_shot == max_concurrent_throughput(topo, tm)

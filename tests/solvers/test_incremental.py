@@ -1,10 +1,11 @@
 """Warm-started incremental solving: equivalence, refactorization, flags.
 
-The ISSUE's property test: across ≥50 random jellyfish/xpander instances
-and multi-point load grids, warm-started objective values must match
-``highs-exact`` within 1e-9 (the scipy fallback is in fact byte-identical
-— it patches cached canonical CSR matrices into exactly what fresh
-assembly would build).  Plus the forced-refactorization contract: any
+The property test: across ≥50 random jellyfish/xpander instances and
+multi-point load grids, warm-started objective values must match
+``highs-exact`` within 1e-9 on both engines — the default ``linprog``
+fallback (in fact byte-identical: it patches cached canonical CSR
+matrices into exactly what fresh assembly would build) and basis reuse
+on scipy's bundled HiGHS core (``mode=core``).  Plus the forced-refactorization contract: any
 topology change mid-batch — including a capacity-only change the
 structural content hash ignores — must rebuild the model, never reuse a
 stale basis.
@@ -17,12 +18,14 @@ import pytest
 from repro import registry
 from repro.perf import topology_content_hash
 from repro.solvers import (
+    HighsColgenBackend,
     HighsIncrementalBackend,
-    have_highspy,
+    have_highs_core,
     reset_warm_start_stats,
     warm_start_stats,
 )
 from repro.throughput import EdgeLpContext, max_concurrent_throughput, skew_sweep
+from repro.throughput import highs
 from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
 
@@ -67,21 +70,43 @@ def _random_instances(count, seed=20260808):
 
 INSTANCES = _random_instances(50)
 
+needs_core = pytest.mark.skipif(
+    not have_highs_core(), reason="needs scipy's bundled HiGHS core"
+)
 
-@pytest.mark.parametrize("build", INSTANCES)
-def test_warm_objectives_match_exact_within_1e9(build):
+
+def _by_mode(instances):
+    """Every instance under both engines; the default ``fallback`` arm
+    keeps the bare instance ids."""
+    return [
+        pytest.param(
+            mode, *inst.values,
+            id=inst.id if mode == "fallback" else f"{mode}-{inst.id}",
+            marks=needs_core if mode == "core" else (),
+        )
+        for mode in ("fallback", "core")
+        for inst in instances
+    ]
+
+
+@pytest.mark.parametrize("mode, build", _by_mode(INSTANCES))
+def test_warm_objectives_match_exact_within_1e9(mode, build):
     """Property test: warm solves track highs-exact to 1e-9 everywhere."""
     topo = build()
     base = longest_matching_tm(topo, 1.0, seed=1)
     tms = [base.scaled(s) for s in LOAD_GRID]
-    outcomes = HighsIncrementalBackend().solve_many(topo, tms)
+    outcomes = HighsIncrementalBackend(mode=mode).solve_many(topo, tms)
     for tm, outcome in zip(tms, outcomes):
         assert outcome.ok
         exact = max_concurrent_throughput(topo, tm)
         assert abs(outcome.result.throughput - exact.throughput) <= 1e-9
         assert abs(outcome.result.per_server - exact.per_server) <= 1e-9
-    # The first point built the model; the rest warm-started off it.
+    # The first point built the model; the rest warm-started off it,
+    # and on the core re-solved from the previous basis.
     assert [o.warm_started for o in outcomes] == [False, True, True, True]
+    assert [o.basis_reused for o in outcomes] == (
+        [False, True, True, True] if mode == "core" else [False] * 4
+    )
 
 
 def test_fallback_is_byte_identical_to_exact():
@@ -202,12 +227,38 @@ def test_degenerate_conventions_match_backend_contract():
     assert result.per_server == 1.0
 
 
-def test_mode_validation():
-    with pytest.raises(ValueError, match="auto/highspy/fallback"):
-        HighsIncrementalBackend(mode="bogus")
-    if not have_highspy():
-        with pytest.raises(ValueError, match=r"\[perf\] extra"):
-            HighsIncrementalBackend(mode="highspy")
+WARM_BACKENDS = (HighsIncrementalBackend, HighsColgenBackend)
+
+
+def test_mode_validation(monkeypatch):
+    """Both warm backends resolve ``mode`` through one table."""
+    for cls in WARM_BACKENDS:
+        for bad in ("bogus", ["core"], None):
+            with pytest.raises(ValueError, match="auto/core/fallback"):
+                cls(mode=bad)
+        assert cls(mode="fallback").use_core is False
+        for mode in ("auto", "core", "highspy"):
+            if mode == "auto" or have_highs_core():
+                assert cls(mode=mode).use_core is have_highs_core()
+    # Defaults: the edge LP stays on linprog, colgen takes the core.
+    assert HighsIncrementalBackend().use_core is False
+    assert HighsColgenBackend().use_core is have_highs_core()
+    # ``highspy`` stays a synonym of ``core`` in spec strings.
+    if have_highs_core():
+        assert registry.solver("highs-incremental:mode=highspy").use_core
+        assert registry.solver("highs-batched:mode=core").use_core
+
+    # With the core away, ``auto`` degrades and ``core`` is refused.
+    monkeypatch.setattr(highs, "_CORE", None)
+    monkeypatch.setattr(highs, "_CORE_CHECKED", True)
+    assert not have_highs_core()
+    for cls in WARM_BACKENDS:
+        assert cls(mode="auto").use_core is False
+        for mode in ("core", "highspy"):
+            with pytest.raises(ValueError, match="bundled HiGHS core"):
+                cls(mode=mode)
+    with pytest.raises(ValueError, match="bundled HiGHS core"):
+        EdgeLpContext(jellyfish(8, 3, 1, seed=0), use_core=True)
 
 
 def test_registry_exposes_incremental():
@@ -249,16 +300,22 @@ def test_skew_sweep_warm_kwarg_tolerates_legacy_backends():
     assert result.ok
 
 
-@pytest.mark.skipif(not have_highspy(), reason="needs the [perf] extra")
-def test_highspy_basis_reuse_flags_and_equivalence():
-    """With highspy installed the warm path really reuses the basis —
-    and stays within 1e-9 of highs-exact."""
+@needs_core
+def test_core_basis_reuse_flags_and_equivalence():
+    """On the bundled HiGHS core the warm path really reuses the basis —
+    fewer simplex iterations than a cold solve — and stays within 1e-9
+    of highs-exact."""
     topo = jellyfish(12, 4, 2, seed=3)
     base = longest_matching_tm(topo, 1.0, seed=1)
     tms = [base.scaled(s) for s in LOAD_GRID]
-    backend = HighsIncrementalBackend(mode="highspy")
+    backend = HighsIncrementalBackend(mode="core")
     outcomes = backend.solve_many(topo, tms)
     assert [o.basis_reused for o in outcomes] == [False, True, True, True]
     for tm, outcome in zip(tms, outcomes):
         exact = max_concurrent_throughput(topo, tm)
         assert abs(outcome.result.throughput - exact.throughput) <= 1e-9
+        assert abs(outcome.result.per_server - exact.per_server) <= 1e-9
+    assert sum(o.iterations for o in outcomes[1:]) < 3 * outcomes[0].iterations
+    ctx = backend.context_stats()
+    assert ctx["engine"] == "highs-core"
+    assert ctx["models_built"] == 1 and ctx["warm_solves"] == 3

@@ -3,7 +3,9 @@
 Before the taxonomy, any HiGHS failure surfaced as ``RuntimeError(res.message)``
 and a "successful" result without a solution vector crashed on
 ``res.x[t_var]``.  These tests pin the mapping, the carried context, and
-backward compatibility (every class is still a ``RuntimeError``).
+backward compatibility (every class is still a ``RuntimeError``) — for
+``linprog`` results and for the model statuses of the two warm engines
+on scipy's bundled HiGHS core, which share one map.
 """
 
 import pytest
@@ -16,6 +18,9 @@ from repro.throughput import (
     max_concurrent_throughput,
     path_throughput,
 )
+from repro import registry
+from repro.solvers import SolveStatus
+from repro.throughput import highs
 from repro.throughput.errors import raise_for_linprog
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
@@ -123,3 +128,52 @@ class TestEntryPointsRaiseTyped:
             assert isinstance(exc, SolverNumericalError)
         else:  # pragma: no cover - the solve must fail
             pytest.fail("expected a RuntimeError")
+
+
+@pytest.mark.skipif(
+    not highs.have_highs_core(), reason="needs scipy's bundled HiGHS core"
+)
+class TestCoreModelStatus:
+    """Both core engines classify a HiGHS model status the same way and
+    report the simplex/IPM work spent before the failure."""
+
+    @pytest.mark.parametrize(
+        "status_name,cls,terminal",
+        [
+            ("kInfeasible", InfeasibleError, SolveStatus.INFEASIBLE),
+            ("kUnbounded", UnboundedError, SolveStatus.UNBOUNDED),
+            ("kUnboundedOrInfeasible", InfeasibleError, SolveStatus.INFEASIBLE),
+            ("kIterationLimit", SolverNumericalError, SolveStatus.NUMERICAL),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "solver,formulation",
+        [
+            ("highs-incremental:mode=core", "exact"),
+            ("highs-colgen:mode=core", "colgen"),
+        ],
+    )
+    def test_engine_maps_stubbed_status(
+        self, instance, monkeypatch, solver, formulation, status_name, cls,
+        terminal,
+    ):
+        core = highs._highs_core()
+        status = getattr(core.HighsModelStatus, status_name)
+
+        class StubbedHighs(core._Highs):
+            """A real HiGHS model that reports ``status`` after solving."""
+
+            def getModelStatus(self):
+                return status
+
+        monkeypatch.setattr(core, "_Highs", StubbedHighs)
+        topo, tm = instance
+        outcome = registry.solver(solver).solve(topo, tm)
+        assert outcome.status is terminal
+        assert type(outcome.error) is cls
+        assert outcome.error.formulation == formulation
+        assert outcome.error.context["topology"] == topo.name
+        # The model really solved before its status was read.
+        assert outcome.error.iterations > 0
+        assert outcome.iterations == outcome.error.iterations
+        assert "HiGHS reported" in outcome.message
