@@ -17,23 +17,21 @@ throughput >= 3x cold.  Both modes gate the warm p50 under 20 ms: a
 keep-alive reply split across two TCP segments with Nagle on waits
 ~40 ms for the client's delayed ACK, and this catches that stall
 coming back.  Set ``REPRO_PERF_QUICK=1`` for the reduced CI grid
-(ratio still reported, only sanity-asserted).
+(ratio still reported, only sanity-asserted), written to
+``bench_out.bench_path`` outside the repository.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
+from bench_out import QUICK, bench_path
 from repro.api import ApiServer, ApiService, HttpClient
 from repro.ioutils import atomic_write_json
 from repro.version import SPEC_HASH_VERSION, __version__
 
-QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
-BENCH_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_api.json"
-)
+BENCH_PATH = bench_path("BENCH_api.json")
 
 TOPOLOGY = (
     "jellyfish:switches=14,degree=4,servers=2"
@@ -133,7 +131,7 @@ def test_api_load_warm_vs_cold():
             "result_hits": cache_stats["results"]["hits"],
         },
     }
-    atomic_write_json(os.path.abspath(BENCH_PATH), payload, sort_keys=True)
+    atomic_write_json(BENCH_PATH, payload, sort_keys=True)
     print(
         f"\napi-load: cold {cold['rps']} rps (p99 {cold['p99_ms']} ms), "
         f"warm {warm['rps']} rps (p99 {warm['p99_ms']} ms), {ratio}x"

@@ -29,16 +29,17 @@ accepts from the *committed* ``BENCH_perf.json`` (3.0 for the headline
 kernels; 1.0 for micro-opts like the small fair-share churn whose win is
 real but interpreter-bound).
 
-Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke).
+Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke); its output goes
+to ``bench_out.bench_path``, outside the repository.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
 
+from bench_out import QUICK, bench_path
 from repro.flowsim.fairshare import (
     FairShareState,
     _max_min_allocation_reference,
@@ -55,10 +56,7 @@ from repro.throughput.paths import ecmp_next_hops, k_shortest_paths
 from repro.topologies import jellyfish
 from repro.traffic import permutation_tm
 
-QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
-BENCH_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_perf.json"
-)
+BENCH_PATH = bench_path("BENCH_perf.json")
 
 _RESULTS: dict = {}
 
@@ -282,7 +280,7 @@ def test_zzz_write_bench_json():
     }
     from repro.ioutils import atomic_write_json
 
-    atomic_write_json(os.path.abspath(BENCH_PATH), payload, sort_keys=True)
+    atomic_write_json(BENCH_PATH, payload, sort_keys=True)
     if not QUICK:
         # Acceptance: >= 3x on at least two kernels at full scale.
         assert len(payload["speedups_ge_3x"]) >= 2, payload

@@ -15,20 +15,18 @@ directory).  Acceptance (full mode): >= 3x.
 Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke) — the quick
 assertion is loose because a multicore box parallelizes the per-point
 baseline across workers, shrinking the gap the batch path removes.
+Quick output goes to ``bench_out.bench_path``, outside the repository.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
+from bench_out import QUICK, bench_path
 from repro.harness import ExperimentSpec, Runner
 
-QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
-BENCH_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_perf.json"
-)
+BENCH_PATH = bench_path("BENCH_perf.json")
 
 TOPOLOGY = {
     "family": "jellyfish", "switches": 12, "degree": 4,
@@ -98,7 +96,7 @@ def test_batched_sweep_speedup():
 def test_zzz_update_bench_json():
     """Merge this suite's result into BENCH_perf.json (runs last)."""
     assert _RESULTS, "batched-sweep bench did not run"
-    path = os.path.abspath(BENCH_PATH)
+    path = BENCH_PATH
     try:
         with open(path) as f:
             payload = json.load(f)

@@ -19,27 +19,25 @@ against ``highs-exact``:
   scipy's bundled HiGHS core, within 1e-9 of ``highs-exact`` and gated
   at >= 3x on the 14-point sweep.
 
-Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke).
+Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke); its output goes
+to ``bench_out.bench_path``, outside the repository.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import pytest
 
+from bench_out import QUICK, bench_path
 from repro.solvers import HighsIncrementalBackend, have_highs_core
 from repro.throughput import max_concurrent_throughput
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
 from repro.version import __version__
 
-QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
-BENCH_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_perf.json"
-)
+BENCH_PATH = bench_path("BENCH_perf.json")
 
 SWITCHES = 12
 NUM_POINTS = 6 if QUICK else 14
@@ -131,7 +129,7 @@ def test_warm_sweep_speedup_and_equivalence(mode):
 def test_zzz_update_bench_json():
     """Merge this suite's result into BENCH_perf.json (runs last)."""
     assert _RESULTS, "warm-sweep bench did not run"
-    path = os.path.abspath(BENCH_PATH)
+    path = BENCH_PATH
     try:
         with open(path) as f:
             payload = json.load(f)

@@ -36,7 +36,8 @@ any engine shows up as a trajectory diff in the committed JSON.
 
 Set ``REPRO_PERF_QUICK=1`` for a reduced ladder (the CI ``scale-smoke``
 job, which also asserts the quick-ladder floors below); the committed
-``BENCH_scale.json`` comes from a full run.
+``BENCH_scale.json`` comes from a full run (a quick run writes to
+``bench_out.bench_path``, outside the repository).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import time
 import numpy as np
 from scipy.sparse import csgraph
 
+from bench_out import QUICK, bench_path
 from repro.harness import ExperimentSpec
 from repro.harness.execute import execute_spec
 from repro.ioutils import atomic_write_json
@@ -55,10 +57,7 @@ from repro.perf import PathCache
 from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
 
-QUICK = os.environ.get("REPRO_PERF_QUICK") == "1"
-BENCH_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, os.pardir, "BENCH_scale.json"
-)
+BENCH_PATH = bench_path("BENCH_scale.json")
 
 #: Per-trial wall-clock budget (s): the first rung past this completes,
 #: is recorded as ``max_completed``, and stops the climb.
@@ -195,7 +194,7 @@ def _climb(cap: int, budget_s: float, trial):
 
 
 def _write_results() -> None:
-    path = os.path.abspath(BENCH_PATH)
+    path = BENCH_PATH
     payload = {}
     if os.path.exists(path):
         with open(path) as handle:

@@ -39,12 +39,11 @@ Any other path, including the unversioned ones of the service's first
 release (``/context``, ``/sweep``, …), gets a 404 ``not_found`` reply
 listing the ``/v1`` paths.
 
-Warm-state semantics: repeated queries naming the same topology spec
-reuse the built topology, its warm solver context (one per topology,
-context kind and solver parameters — the four edge-LP solver names
-share one :class:`~repro.throughput.EdgeLpContext`), and the
-process-wide shared path cache; byte-identical queries are served from
-a content-addressed result memo.
+Warm-state semantics: ``/v1/throughput`` and ``/v1/compare`` run
+:func:`repro.harness.execute.evaluate_lp` over the service's
+:class:`~repro.api.state.WarmState`, so a repeated query reuses the
+built topology and its solver context, and a byte-identical one is
+served from the result memo.
 Any ``POST`` body may set ``"warm": false`` to bypass every warm layer
 and rebuild per request — that is the load bench's cold baseline, and a
 live way to check warm results against a from-scratch evaluation.
@@ -70,7 +69,7 @@ from .. import obs, registry
 from ..design import DesignEngine, DesignTarget, design_target_schema
 from ..design.space import enumerate_candidates
 from ..harness import ResultCache, Runner
-from ..harness.execute import execute_spec
+from ..harness.execute import evaluate_lp, execute_spec
 from ..harness.spec import ENGINES, ExperimentSpec, expand_sweep
 from ..perf import PathCache, shared_path_cache
 from ..solvers import SolveOutcome
@@ -78,7 +77,7 @@ from ..version import SPEC_HASH_VERSION, __version__
 from .errors import ApiError, classify_exception
 from .jobs import JobManager, jobs_schema
 from .schema import experiment_spec_schema
-from .state import WarmState, canonical_key
+from .state import WarmState
 
 __all__ = [
     "ApiService",
@@ -454,80 +453,43 @@ class ApiService:
     def _evaluate_throughput(
         self, body: Dict[str, Any], topology_spec: Any
     ) -> Dict[str, Any]:
-        """The throughput core: build/fetch warm state, solve, memoize."""
+        """The throughput core: :func:`evaluate_lp` on the warm state."""
         fractions = self._fractions(body)
-        solver_spec = body.get("solver", "highs-batched")
-        solver_name, solver_params = registry.parse_spec(solver_spec, key="name")
-        # Unknown names and bad parameters fail here as 400 bad_spec.
-        backend = registry.SOLVERS.build(solver_name, **solver_params)
         seed = int(body.get("seed", 0))
-        demand = float(body.get("per_server_demand", 1.0))
-        failures = body.get("failures")
         warm = bool(body.get("warm", True))
-
         t0 = time.perf_counter()
-        if warm:
-            topo, topo_hit = self.state.topology(topology_spec, failures)
-            topo_key = self.state.topology_key(topology_spec, failures)
-            properties = self._properties(shared_path_cache(topo), topo)
-        else:
-            topo = WarmState.build_topology(topology_spec, failures)
-            topo_hit = False
-            topo_key = ""
-            properties = self._properties(PathCache(topo.graph), topo)
-
-        context = None
-        context_hit = False
-        if getattr(backend, "context_kind", None) is not None:
-            if warm:
-                context, context_hit = self.state.solver_context(
-                    topo_key, topo, backend, solver_params
-                )
-            else:
-                context = backend.new_context(topo)
-
-        results: List[Dict[str, Any]] = []
-        for fraction in fractions:
-            memo_key = canonical_key(
-                {
-                    "kind": "throughput",
-                    "topology": topo_key,
-                    "fraction": fraction,
-                    "solver": [solver_name, solver_params],
-                    "seed": seed,
-                    "demand": demand,
-                }
+        # Unknown solvers and bad knobs fail in here as 400 bad_spec.
+        evaluation = evaluate_lp(
+            topology_spec,
+            [(fraction, seed) for fraction in fractions],
+            body.get("solver", "highs-batched"),
+            failures=body.get("failures"),
+            per_server_demand=float(body.get("per_server_demand", 1.0)),
+            warm=warm,
+            state=self.state,
+        )
+        topo = evaluation.topology
+        path_cache = shared_path_cache(topo) if warm else PathCache(topo.graph)
+        results = [
+            {**self._outcome_entry(fraction, outcome), "cached": cached}
+            for fraction, outcome, cached in zip(
+                fractions, evaluation.outcomes, evaluation.cached
             )
-            if warm:
-                memo = self.state.result_get(memo_key)
-                if memo is not None:
-                    results.append({**memo, "cached": True})
-                    continue
-            tm = registry.TRAFFIC.build(
-                "longest_matching", topo, fraction=fraction, seed=seed
-            )
-            if context is None:
-                outcome = backend.solve(topo, tm, demand)
-            else:
-                outcome = backend.solve_in(context, tm, demand, warm)
-            entry = self._outcome_entry(fraction, outcome)
-            if warm and outcome.ok:
-                self.state.result_put(memo_key, entry)
-            results.append({**entry, "cached": False})
-
+        ]
+        context_hit = evaluation.context_hit
         return {
-            "topology": {"name": topo.name, **properties},
-            "solver": solver_name,
+            "topology": {"name": topo.name, **self._properties(path_cache, topo)},
+            "solver": evaluation.solver,
             "seed": seed,
             "results": results,
             "warm": {
                 "enabled": warm,
-                "topology": "hit" if topo_hit else "miss",
+                "topology": "hit" if evaluation.topology_hit else "miss",
                 "context": (
-                    None if context is None
+                    None if context_hit is None
                     else "hit" if context_hit else "miss"
                 ),
-                "results_cached": sum(1 for r in results if r["cached"]),
+                "results_cached": sum(evaluation.cached),
             },
             "wall_time_s": round(time.perf_counter() - t0, 6),
         }
@@ -819,11 +781,8 @@ class ApiService:
                 if value is not None and best_value
                 else None
             )
-        solver_name, _ = registry.parse_spec(
-            body.get("solver", "highs-batched"), key="name"
-        )
         return {
-            "solver": solver_name,
+            "solver": evaluation["solver"],
             "results": entries,
             "best": best["topology"]["name"],
         }

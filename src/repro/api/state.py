@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .. import registry
 from ..perf import Lru
@@ -60,7 +60,9 @@ class WarmState:
     Parameters bound the footprint: topologies and solver contexts hold
     dense per-topology structure (an ArcTable, component labels, cached
     LP structures or path pools), so their LRUs stay small; result memo
-    entries are tiny JSON fragments.
+    entries are single solve outcomes, stored without per-arc flows.
+    :func:`repro.harness.execute.evaluate_lp` is the one reader and
+    writer of all three.
     """
 
     def __init__(
@@ -92,14 +94,6 @@ class WarmState:
             {"family": name, "params": params, "failures": failure_spec}
         )
 
-    @staticmethod
-    def build_topology(spec: Any, failures: Any = None) -> Topology:
-        """Cold-path construction: build (and degrade) from scratch."""
-        topo = registry.topology(spec)
-        if failures is not None:
-            topo = topo.degrade(registry.failure(failures))
-        return topo
-
     def topology(self, spec: Any, failures: Any = None) -> Tuple[Topology, bool]:
         """The warm topology for a spec; returns ``(topology, was_hit)``.
 
@@ -111,7 +105,9 @@ class WarmState:
         topo = self._topologies.get(key)
         if topo is not None:
             return topo, True
-        topo = self.build_topology(spec, failures)
+        topo = registry.topology(spec)
+        if failures is not None:
+            topo = topo.degrade(registry.failure(failures))
         return self._topologies.put(key, topo), False
 
     # ------------------------------------------------------------------
@@ -145,11 +141,11 @@ class WarmState:
     # ------------------------------------------------------------------
     # Content-addressed result memo
     # ------------------------------------------------------------------
-    def result_get(self, key: str) -> Optional[Dict[str, Any]]:
+    def result_get(self, key: str) -> Any:
         return self._results.get(key)
 
-    def result_put(self, key: str, payload: Dict[str, Any]) -> None:
-        self._results.put(key, payload)
+    def result_put(self, key: str, value: Any) -> None:
+        self._results.put(key, value)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

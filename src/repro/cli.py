@@ -47,8 +47,8 @@ _FAMILY_ARGS = {
 }
 
 
-def _topology_from_args(kind: str, args: argparse.Namespace):
-    """Registry-built ``(Topology, raw_or_None)`` from parsed CLI flags."""
+def _topology_spec(kind: str, args: argparse.Namespace):
+    """The registry topology spec the parsed CLI flags describe."""
     names = _FAMILY_ARGS.get(kind)
     if names is None:
         raise ValueError(
@@ -58,7 +58,7 @@ def _topology_from_args(kind: str, args: argparse.Namespace):
     params = {name: getattr(args, name) for name in names}
     if params.get("servers") == 0:
         del params["servers"]  # family default
-    return registry.build_topology({"family": kind, **params})
+    return {"family": kind, **params}
 
 
 def _add_topology_args(p: argparse.ArgumentParser) -> None:
@@ -115,7 +115,7 @@ def _build_degraded(command: str, kind: str, args: argparse.Namespace):
     traceback.
     """
     try:
-        topo, raw = _topology_from_args(kind, args)
+        topo, raw = registry.build_topology(_topology_spec(kind, args))
         return _maybe_degrade(topo, args), raw
     except ValueError as exc:
         sys.stderr.write(f"{command}: {exc}\n")
@@ -158,32 +158,30 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
-    from .throughput import skew_sweep
+    from .harness.execute import evaluate_lp
 
     _default_servers(args.kind, args)
-    built = _build_degraded("throughput", args.kind, args)
-    if built is None:
-        return 2
-    topo, _ = built
     fractions = [float(x) for x in args.fractions.split(",")]
-    result = skew_sweep(
-        topo,
-        fractions,
-        solver=args.solver,
-        k_paths=args.k_paths,
-        seed=args.seed,
-        epsilon=args.epsilon,
-    )
+    try:
+        evaluation = evaluate_lp(
+            _topology_spec(args.kind, args), [(x, args.seed) for x in fractions],
+            args.solver, failures=args.failure or None,
+        )
+    except ValueError as exc:
+        sys.stderr.write(f"throughput: {exc}\n")
+        return 2
+    outcomes = evaluation.outcomes
+    values = [o.result.per_server if o.ok else float("nan") for o in outcomes]
     print(
         format_series(
             "fraction",
-            result.fractions,
-            {topo.name: result.throughput},
+            fractions,
+            {evaluation.topology.name: values},
             title="Per-server throughput under longest-matching TMs",
         )
     )
-    if not result.ok:
-        bad = sorted(set(s for s in result.statuses if s != "optimal"))
+    bad = sorted(set(o.status.value for o in outcomes if not o.ok))
+    if bad:
         sys.stderr.write(
             f"throughput: solver {args.solver} reported non-optimal "
             f"solves ({', '.join(bad)}); nan entries above\n"
@@ -616,14 +614,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--fractions", default="0.2,0.4,0.6,0.8,1.0")
     p.add_argument(
         "--solver",
-        choices=sorted(registry.SOLVERS.available()),
         default="exact",
-        help="throughput solver backend (see docs/solvers.md)",
-    )
-    p.add_argument("--k-paths", type=int, default=8)
-    p.add_argument(
-        "--epsilon", type=float, default=0.05,
-        help="mcf-approx accuracy knob (ignored by other solvers)",
+        help="solver spec, knobs included: 'exact', 'highs-paths:k=4', "
+        "'mcf-approx:epsilon=0.1', ... (see docs/solvers.md)",
     )
     p.set_defaults(func=_cmd_throughput)
 

@@ -22,9 +22,10 @@ spends arithmetic before graphs and graphs before LPs:
   actual TM: a candidate whose capacity/distance ceiling already misses
   the SLO never reaches a solver.
 * **evaluate** — survivors go through the configured
-  :data:`repro.registry.SOLVERS` backend; optimal designs are checked
-  against the optional resilience floor (retained throughput under the
-  target's failure scenario).
+  :data:`repro.registry.SOLVERS` backend, by way of the library's one
+  LP evaluator (:func:`repro.harness.execute.evaluate_lp`); optimal
+  designs are checked against the optional resilience floor (retained
+  throughput under the target's failure scenario).
 
 Every stage is observed (``design.*`` spans and counters), every prune
 is recorded with its reason, and all measurements are memoized by
@@ -41,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs, registry
 from ..cost import PORT_COSTS, predicted_port_cost, topology_port_cost
+from ..harness.execute import evaluate_lp
 from ..perf import Lru
 from ..throughput.bounds import tm_throughput_upper_bound
 from ..topologies.dynamic import moore_bound_mean_distance
@@ -161,14 +163,10 @@ class DesignEngine:
         if hit is not None:
             return hit
         with obs.span("design.evaluate", family=cand.family):
-            topology = registry.topology(cand.spec)
-            tm = longest_matching_tm(
-                topology, target.fraction, seed=target.seed
-            )
-            backend = registry.solver(target.solver)
-            outcome = backend.solve(
-                topology, tm, per_server_demand=target.per_server_demand
-            )
+            (outcome,) = evaluate_lp(
+                cand.spec, [(target.fraction, target.seed)], target.solver,
+                per_server_demand=target.per_server_demand,
+            ).outcomes
         obs.add("design.lp_solves")
         measured = {
             "status": outcome.status.value,

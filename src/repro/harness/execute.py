@@ -9,7 +9,8 @@ and evaluated by the requested engine:
 * ``flow``   — :class:`repro.flowsim.FlowLevelSimulation` (fluid
   max-min fair);
 * ``lp``     — the fluid-flow throughput LP over a longest-matching TM
-  (the Fig 2/5/6 engine).
+  (the Fig 2/5/6 engine), through :func:`evaluate_lp`, the LP path
+  ``repro throughput``, the API and the design search share.
 
 Everything here is deterministic given the spec (wall-clock time is
 recorded but kept out of ``metrics``), which is what makes the
@@ -20,26 +21,30 @@ content-addressed cache sound: see the determinism test in
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import registry
 from ..flowsim import FlowLevelSimulation
 from ..obs import emit_network_report
 from ..sim import NetworkParams, PacketSimulation
 from ..sim.stats import FlowStats
+from ..solvers import SolveOutcome
 from ..topologies import Topology
 from ..traffic import PoissonArrivals, Workload, pareto_hull, pfabric_web_search
 from .records import RunRecord, provenance
 from .spec import ExperimentSpec, SpecError
 
-__all__ = ["execute_spec", "execute_lp_batch"]
+__all__ = ["execute_spec", "execute_lp_batch", "evaluate_lp", "LpEvaluation"]
 
 
-def _build_topology(topo_spec: Mapping[str, Any]) -> Topology:
+def _build_topology(topo_spec: Any, failures: Any = None) -> Topology:
+    """Build a topology spec, degraded by ``failures`` when given."""
     try:
-        return registry.topology(topo_spec)
+        topology = registry.topology(topo_spec)
     except registry.RegistryError as exc:
         raise SpecError(str(exc)) from exc
+    return topology if failures is None else topology.degrade(registry.failure(failures))
 
 
 def _build_pairs(spec: ExperimentSpec, topology: Topology):
@@ -96,64 +101,134 @@ def _resolve_rate(spec: ExperimentSpec, topology: Topology, pairs, sizes) -> flo
     return (load * active_servers * rate_bps / 8.0) / mean_bytes
 
 
-def _lp_solver_backend(wl: Mapping[str, Any]):
-    """The :data:`repro.registry.SOLVERS` backend an lp workload selects.
+@dataclass
+class LpEvaluation:
+    """One outcome per point of an :func:`evaluate_lp` call.
 
-    ``k_paths`` parameterizes the paths backends and ``epsilon`` the
-    approximation; ``highs-colgen`` takes ``k_paths`` (seed paths per
-    demand), ``max_rounds``, and ``solver_mode``; the warm edge LP
-    (``highs-incremental`` / ``highs-batched``) takes ``solver_mode``;
-    ``highs-exact`` takes no knobs.
+    ``cached[i]``: ``outcomes[i]`` came from the warm result memo.
+    ``context_hit`` is ``None`` for context-free solvers.
     """
-    name = str(wl.get("solver", "exact"))
-    params: Dict[str, Any] = {}
-    if name in ("paths", "highs-paths"):
-        params["k"] = wl.get("k_paths", 8)
-    elif name == "mcf-approx" and "epsilon" in wl:
-        params["epsilon"] = wl["epsilon"]
-    elif name in ("highs-incremental", "highs-batched") and "solver_mode" in wl:
-        params["mode"] = wl["solver_mode"]
-    elif name == "highs-colgen":
-        if "k_paths" in wl:
-            params["k"] = wl["k_paths"]
-        if "max_rounds" in wl:
-            params["max_rounds"] = wl["max_rounds"]
-        if "solver_mode" in wl:
-            params["mode"] = wl["solver_mode"]
-    try:
-        return registry.SOLVERS.build(name, **params)
-    except registry.RegistryError as exc:
-        raise SpecError(str(exc)) from exc
+
+    topology: Topology
+    solver: str
+    outcomes: List[SolveOutcome]
+    cached: List[bool]
+    topology_hit: bool = False
+    context_hit: Optional[bool] = None
 
 
-def _lp_tm(spec: ExperimentSpec, topology: Topology):
-    """The longest-matching TM an lp spec describes (plus its fraction)."""
-    wl = spec.workload
-    fraction = wl.get("fraction", 1.0)
-    pattern_seed = wl.get("pattern_seed", spec.seed)
-    tm = registry.TRAFFIC.build(
-        "longest_matching", topology, fraction=fraction, seed=pattern_seed
+def evaluate_lp(
+    topology: Any,
+    points: Sequence[Tuple[float, int]],
+    solver: Any = "exact",
+    *,
+    failures: Any = None,
+    per_server_demand: float = 1.0,
+    warm: bool = True,
+    state: Any = None,
+) -> LpEvaluation:
+    """Longest-matching throughput of one topology at each point.
+
+    The library's one LP path: the harness's lp engine, ``repro
+    throughput``, ``/v1/throughput`` and ``/v1/compare`` all call it.
+    ``topology`` is a :data:`repro.registry.TOPOLOGIES` spec, degraded
+    by the ``failures`` spec when given; each ``(fraction, tm_seed)``
+    point builds one longest-matching TM; ``solver`` is a
+    :data:`repro.registry.SOLVERS` spec string such as
+    ``"highs-paths:k=4"``.  Solvers with a per-topology context solve
+    every point on one, warm-starting across points unless ``warm`` is
+    False.  With a :class:`repro.api.WarmState` as ``state`` (and
+    ``warm``), the topology, the context and optimal outcomes come from
+    and go to its caches.  Non-optimal solves come back as outcomes.
+    """
+    name, params = registry.parse_spec(solver, key="name")
+    backend = registry.solver(solver)
+    if state is not None and warm:
+        from ..api.state import canonical_key
+
+        topo, topology_hit = state.topology(topology, failures)
+        topo_key = state.topology_key(topology, failures)
+    else:
+        state, topology_hit = None, False
+        topo = _build_topology(topology, failures)
+    context, context_hit = None, None
+    if getattr(backend, "context_kind", None) is not None:
+        if state is not None:
+            context, context_hit = state.solver_context(topo_key, topo, backend, params)
+        else:
+            context, context_hit = backend.new_context(topo), False
+
+    evaluation = LpEvaluation(topo, name, [], [], topology_hit, context_hit)
+    for fraction, seed in points:
+        if state is not None:
+            key = canonical_key(
+                ["throughput", topo_key, fraction, name, params, seed,
+                 per_server_demand]
+            )
+            memo = state.result_get(key)
+            if memo is not None:
+                evaluation.outcomes.append(memo)
+                evaluation.cached.append(True)
+                continue
+        tm = registry.TRAFFIC.build(
+            "longest_matching", topo, fraction=fraction, seed=seed
+        )
+        if context is None:
+            outcome = backend.solve(topo, tm, per_server_demand)
+        else:
+            outcome = backend.solve_in(context, tm, per_server_demand, warm)
+        if state is not None and outcome.ok:
+            # The memo keeps no per-arc flows: no reader uses them.
+            result = replace(outcome.result, link_utilization=None)
+            state.result_put(key, replace(outcome, result=result))
+        evaluation.outcomes.append(outcome)
+        evaluation.cached.append(False)
+    return evaluation
+
+
+def _lp_records(
+    specs: Sequence[ExperimentSpec],
+) -> Tuple[List[RunRecord], List[SolveOutcome]]:
+    """Evaluate lp specs sharing topology, failures and solver spec."""
+    for spec in specs:
+        spec.validate()
+    first = specs[0]
+    start = time.perf_counter()
+    evaluation = evaluate_lp(
+        first.topology,
+        [
+            (spec.workload.get("fraction", 1.0),
+             spec.workload.get("pattern_seed", spec.seed))
+            for spec in specs
+        ],
+        first.solver_spec(),
+        failures=first.failures,
+        warm=bool(first.workload.get("warm", True)),
     )
-    return tm, fraction
-
-
-def _lp_metrics(result, fraction) -> Dict[str, float]:
-    return {
-        "per_server_throughput": result.per_server,
-        "fraction": float(fraction),
-        "disconnected_pairs": float(result.disconnected_pairs),
-    }
-
-
-def _run_lp(spec: ExperimentSpec, topology: Topology) -> Dict[str, float]:
-    tm, fraction = _lp_tm(spec, topology)
-    backend = _lp_solver_backend(spec.workload)
-    outcome = backend.solve(topology, tm)
-    # Non-optimal outcomes re-raise the typed SolverFailure: the Runner
-    # turns it into a (non-retryable) failure record, so infeasible
-    # points degrade a sweep instead of aborting it.
-    outcome.raise_for_status()
-    return _lp_metrics(outcome.result, fraction)
+    outcomes = evaluation.outcomes
+    solve_s = sum(outcome.wall_time_s for outcome in outcomes)
+    setup_s = (time.perf_counter() - start - solve_s) / len(specs)
+    telemetry = _failure_telemetry(first, evaluation.topology)
+    records = []
+    for spec, outcome in zip(specs, outcomes):
+        record = RunRecord(
+            spec=spec.to_dict(),
+            spec_hash=spec.content_hash(),
+            status="ok" if outcome.ok else "failed",
+            wall_clock_s=setup_s + outcome.wall_time_s,
+            provenance=provenance(spec.engine),
+        )
+        if outcome.ok:
+            record.telemetry = dict(telemetry)
+            record.metrics = {
+                "per_server_throughput": outcome.result.per_server,
+                "fraction": float(spec.workload.get("fraction", 1.0)),
+                "disconnected_pairs": float(outcome.result.disconnected_pairs),
+            }
+        else:
+            record.error = f"{type(outcome.error).__name__}: {outcome.error}"
+        records.append(record)
+    return records, outcomes
 
 
 def _run_packet(
@@ -204,15 +279,13 @@ def _run_flow(spec: ExperimentSpec, topology: Topology, flows) -> FlowStats:
     )
 
 
-def _apply_failures(
+def _failure_telemetry(
     spec: ExperimentSpec, topology: Topology
-) -> Tuple[Topology, Dict[str, float]]:
-    """Degrade ``topology`` per ``spec.failures`` (no-op when healthy)."""
+) -> Dict[str, float]:
+    """What ``spec.failures`` took out of ``topology`` (empty when healthy)."""
     if spec.failures is None:
-        return topology, {}
-    scenario = registry.failure(spec.failures)
-    topology = topology.degrade(scenario)
-    return topology, {
+        return {}
+    return {
         "connectivity": topology.connectivity(),
         "failed_links": float(len(topology.failed_links)),
         "failed_switches": float(len(topology.failed_switches)),
@@ -227,41 +300,40 @@ def execute_spec(spec: ExperimentSpec) -> RunRecord:
     Exceptions propagate to the caller; the :class:`~repro.harness.runner.Runner`
     converts them into failure records.
     """
+    if spec.engine == "lp":
+        # A non-optimal outcome re-raises its typed SolverFailure: the
+        # Runner turns it into a (non-retryable) failure record, so
+        # infeasible points degrade a sweep instead of aborting it.
+        (record,), (outcome,) = _lp_records([spec])
+        outcome.raise_for_status()
+        return record
     spec.validate()
     start = time.perf_counter()
-    topology = _build_topology(spec.topology)
-
-    topology, degraded_telemetry = _apply_failures(spec, topology)
+    topology = _build_topology(spec.topology, spec.failures)
+    telemetry = _failure_telemetry(spec, topology)
     if spec.failures is not None:
-        if spec.engine != "lp":
-            # The simulators need every generated flow to be routable;
-            # the LP engines report disconnected pairs instead.
-            from ..topologies import largest_connected_component
+        # The simulators need every generated flow to be routable;
+        # the LP engines report disconnected pairs instead.
+        from ..topologies import largest_connected_component
 
-            topology = largest_connected_component(topology)
-
-    if spec.engine == "lp":
-        metrics = _run_lp(spec, topology)
-        telemetry: Dict[str, float] = {}
+        topology = largest_connected_component(topology)
+    pairs = _build_pairs(spec, topology)
+    sizes = _build_sizes(spec)
+    rate = _resolve_rate(spec, topology, pairs, sizes)
+    workload = Workload(pairs, sizes, PoissonArrivals(rate), seed=spec.seed)
+    horizon = spec.workload.get(
+        "horizon",
+        spec.measure_end + (spec.measure_end - spec.measure_start),
+    )
+    flows = workload.generate(horizon=horizon)
+    if spec.engine == "packet":
+        stats, engine_telemetry = _run_packet(spec, topology, flows)
+        telemetry = {**engine_telemetry, **telemetry}
     else:
-        pairs = _build_pairs(spec, topology)
-        sizes = _build_sizes(spec)
-        rate = _resolve_rate(spec, topology, pairs, sizes)
-        workload = Workload(pairs, sizes, PoissonArrivals(rate), seed=spec.seed)
-        horizon = spec.workload.get(
-            "horizon",
-            spec.measure_end + (spec.measure_end - spec.measure_start),
-        )
-        flows = workload.generate(horizon=horizon)
-        if spec.engine == "packet":
-            stats, telemetry = _run_packet(spec, topology, flows)
-        else:
-            stats = _run_flow(spec, topology, flows)
-            telemetry = {}
-        if spec.short_flow_bytes is not None:
-            stats.short_flow_bytes = spec.short_flow_bytes
-        metrics = stats.summary()
-    telemetry.update(degraded_telemetry)
+        stats = _run_flow(spec, topology, flows)
+    if spec.short_flow_bytes is not None:
+        stats.short_flow_bytes = spec.short_flow_bytes
+    metrics = stats.summary()
 
     return RunRecord(
         spec=spec.to_dict(),
@@ -275,63 +347,12 @@ def execute_spec(spec: ExperimentSpec) -> RunRecord:
 
 
 def execute_lp_batch(specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
-    """Run a group of lp specs sharing one topology through ``solve_many``.
+    """Run lp specs sharing topology, failures and solver spec as one batch.
 
-    The caller (the Runner's batch grouping) guarantees the specs agree
-    on ``topology``, ``failures``, and solver selection; the topology is
-    built and degraded once and the backend amortizes its per-topology
-    structure across the whole batch.  Returns one record per spec, in
-    order: per-record ``metrics`` are byte-identical to what
-    :func:`execute_spec` would produce for the same spec (the batched
-    backend issues identical solves), while non-optimal solves become
-    failure records carrying the typed error — one infeasible point
-    never takes down the rest of the batch.
+    One :func:`evaluate_lp` call: the topology is built once and every
+    point solves on one solver context.  Returns one record per spec, in
+    order, with ``metrics`` byte-identical to :func:`execute_spec`'s; a
+    non-optimal solve becomes a failure record carrying its typed error
+    instead of sinking the batch.
     """
-    first = specs[0]
-    setup_start = time.perf_counter()
-    topology = _build_topology(first.topology)
-    topology, degraded_telemetry = _apply_failures(first, topology)
-    backend = _lp_solver_backend(first.workload)
-
-    tms = []
-    fractions = []
-    for spec in specs:
-        spec.validate()
-        tm, fraction = _lp_tm(spec, topology)
-        tms.append(tm)
-        fractions.append(fraction)
-    setup_s = (time.perf_counter() - setup_start) / len(specs)
-
-    # All registry backends honor the SolverBackend warm contract; a
-    # workload can force every point cold with {"warm": false}.
-    outcomes = backend.solve_many(
-        topology, tms, warm=bool(first.workload.get("warm", True))
-    )
-    records: List[RunRecord] = []
-    for spec, outcome, fraction in zip(specs, outcomes, fractions):
-        common = dict(
-            spec=spec.to_dict(),
-            spec_hash=spec.content_hash(),
-            wall_clock_s=setup_s + outcome.wall_time_s,
-            provenance=provenance(spec.engine),
-        )
-        if outcome.ok:
-            records.append(
-                RunRecord(
-                    status="ok",
-                    metrics=_lp_metrics(outcome.result, fraction),
-                    telemetry=dict(degraded_telemetry),
-                    **common,
-                )
-            )
-        else:
-            error = outcome.error
-            records.append(
-                RunRecord(
-                    status="failed",
-                    error=f"{type(error).__name__}: {error}",
-                    attempts=1,
-                    **common,
-                )
-            )
-    return records
+    return _lp_records(specs)[0]

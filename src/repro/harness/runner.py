@@ -20,7 +20,7 @@ re-running a sweep only computes new or changed points.
 
 LP points that select a batching-capable solver (``highs-batched``)
 and share topology + failures are peeled off before the pool and solved
-in-process through one ``solve_many`` batch per group (see
+in-process on one solver context per group (see
 :func:`~repro.harness.execute.execute_lp_batch`): no per-point worker
 fork, topology and LP structure built once.  On fixed-topology sweeps
 this is the difference measured by ``benchmarks/perf``'s
@@ -215,35 +215,33 @@ class Runner:
 
     @staticmethod
     def _batch_key(spec: ExperimentSpec) -> Optional[Tuple[str, str, str]]:
-        """Group key for batchable lp points; ``None`` = not batchable.
+        """Group key for a validated lp point; ``None`` = not batchable.
 
         Points batch together when they share topology, failures, and a
-        solver whose backend advertises ``supports_batching`` — the TM
-        (fraction / seed) is the only thing that varies inside a group,
-        which is exactly what ``solve_many`` amortizes over.
+        solver spec (name and knobs) whose backend advertises
+        ``supports_batching`` — the TM (fraction / seed) is the only
+        thing that varies inside a group, which is exactly what one
+        solver context amortizes over.
         """
         if spec.engine != "lp":
             return None
-        name = str(spec.workload.get("solver", "exact"))
-        from ..registry import SOLVERS, RegistryError
+        from ..registry import SOLVERS
 
-        try:
-            factory = SOLVERS.get(name)
-        except RegistryError:
-            return None
+        solver = spec.solver_spec()
+        factory = SOLVERS.get(solver.partition(":")[0])
         if not getattr(factory, "supports_batching", False):
             return None
         return (
             json.dumps(spec.topology, sort_keys=True),
             json.dumps(spec.failures, sort_keys=True),
-            name,
+            solver,
         )
 
     def _run_batches(self, specs, records) -> None:
-        """Solve fixed-topology lp groups in-process via ``solve_many``.
+        """Solve fixed-topology lp groups in-process, one context each.
 
         Pending points whose solver supports batching are grouped by
-        (topology, failures, solver) and executed here — no worker
+        (topology, failures, solver spec) and executed here — no worker
         forks, topology/ArcTable built once per group.  ``timeout_s``
         is not enforced for batched points (they run in this process);
         a group that fails wholesale (e.g. the topology itself cannot

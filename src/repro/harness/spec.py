@@ -30,6 +30,7 @@ overrides deep-merged over ``defaults``.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
@@ -39,6 +40,7 @@ __all__ = [
     "SpecError",
     "ExperimentSpec",
     "ENGINES",
+    "LEGACY_SOLVER_FIELDS",
     "TOPOLOGY_FAMILIES",
     "WORKLOAD_PATTERNS",
     "expand_sweep",
@@ -52,6 +54,7 @@ class SpecError(ValueError):
 
 ENGINES = ("packet", "flow", "lp")
 
+from ..registry import SOLVERS, RegistryError, parse_spec, solver  # noqa: E402
 from ..registry import TOPOLOGIES as _TOPOLOGIES  # noqa: E402
 from ..registry import TRAFFIC as _TRAFFIC  # noqa: E402
 
@@ -85,14 +88,15 @@ class ExperimentSpec:
         sizes.  Load is either ``rate`` (flow arrivals/s, aggregate) or
         ``load`` (fraction of the active servers' access capacity).
         For the ``lp`` engine only ``pattern`` (``longest_matching``),
-        ``fraction``, and optionally ``solver``/``k_paths``/``epsilon``
-        apply.  ``solver`` is any :data:`repro.registry.SOLVERS` name
-        (``exact`` — the default — / ``highs-exact`` /
-        ``highs-batched`` / ``paths`` / ``highs-paths`` /
-        ``mcf-approx``); ``k_paths`` parameterizes the paths backends
-        and ``epsilon`` the approximation.  Points selecting a
-        batching-capable solver on a shared topology are solved through
-        one ``solve_many`` batch by the Runner.
+        ``fraction``, ``pattern_seed``, ``warm`` and ``solver`` apply.
+        ``solver`` is a :data:`repro.registry.SOLVERS` spec string:
+        a name (``exact``, the default) optionally with knobs, as in
+        ``"highs-paths:k=4"``.  The legacy knob fields ``k_paths`` /
+        ``epsilon`` / ``solver_mode`` / ``max_rounds`` are still
+        accepted and fold into that string (see
+        :data:`LEGACY_SOLVER_FIELDS` and :meth:`solver_spec`).  Points
+        selecting a batching-capable solver on a shared topology are
+        solved through one batch by the Runner.
     routing:
         Routing policy name (packet engine: any ``registry.ROUTINGS`` name;
         flow engine: ``ecmp``/``vlb``/``hyb``).  Ignored by ``lp``.
@@ -195,15 +199,16 @@ class ExperimentSpec:
                 f"valid patterns: {WORKLOAD_PATTERNS}"
             )
         if self.engine == "lp":
-            from ..registry import SOLVERS
-
-            solver_name = self.workload.get("solver", "exact")
-            if solver_name not in SOLVERS:
+            # Build the solver once, so bad knobs fail here, not in a run.
+            text = self.solver_spec()
+            try:
+                solver(text)
+            except ValueError as exc:
                 raise SpecError(
-                    f"unknown lp solver {solver_name!r}; "
-                    f"valid solvers: {SOLVERS.available()}"
-                )
-        if self.engine != "lp":
+                    f"bad lp solver {text!r}: {exc}; "
+                    f"{_knob_help(text.partition(':')[0])}"
+                ) from exc
+        else:
             if pattern == "longest_matching":
                 raise SpecError(
                     "pattern 'longest_matching' is a fluid TM; use it with "
@@ -245,10 +250,66 @@ class ExperimentSpec:
                 f"flow engine supports ecmp/vlb/hyb, got {self.routing!r}"
             )
 
+    def solver_spec(self) -> str:
+        """The lp solver spec string, legacy fields folded in, knobs sorted.
+
+        ``{"solver": "paths", "k_paths": 4}`` gives ``"paths:k=4"``.
+        Raises :class:`SpecError` on an unknown solver, a legacy field
+        the solver does not take, or a knob set both ways.
+        """
+        raw = self.workload.get("solver", "exact")
+        try:
+            name, knobs = parse_spec(raw, key="name")
+        except RegistryError as exc:
+            raise SpecError(f"bad lp solver {raw!r}: {exc}") from exc
+        if name not in SOLVERS:
+            raise SpecError(
+                f"unknown lp solver {name!r}; valid solvers: {SOLVERS.available()}"
+            )
+        for fld in ("k_paths", "epsilon", "solver_mode", "max_rounds"):
+            if fld not in self.workload:
+                continue
+            knob = LEGACY_SOLVER_FIELDS.get(name, {}).get(fld)
+            if knob is None:
+                raise SpecError(
+                    f"workload field {fld!r} does not apply to lp solver "
+                    f"{name!r}; {_knob_help(name)}"
+                )
+            if knob in knobs:
+                raise SpecError(
+                    f"lp solver knob {knob!r} is set twice: in solver "
+                    f"{raw!r} and as workload field {fld!r}"
+                )
+            knobs[knob] = self.workload[fld]
+        if not knobs:
+            return name
+        return name + ":" + ",".join(f"{k}={json.dumps(v)}" for k, v in sorted(knobs.items()))
+
     @property
     def label(self) -> str:
         """A human-readable identifier for progress and tables."""
         return self.name or self.content_hash()[:10]
+
+
+#: The legacy lp workload fields and the solver knob each folds into,
+#: per solver: ``{"solver": "paths", "k_paths": 4}`` runs ``"paths:k=4"``.
+#: A legacy field on a solver without an entry for it (``exact`` and
+#: ``highs-exact`` take none) is a SpecError.
+LEGACY_SOLVER_FIELDS: Dict[str, Dict[str, str]] = {
+    "highs-incremental": {"solver_mode": "mode"},
+    "highs-batched": {"solver_mode": "mode"},
+    "highs-colgen": {"k_paths": "k", "max_rounds": "max_rounds", "solver_mode": "mode"},
+    "highs-paths": {"k_paths": "k"},
+    "paths": {"k_paths": "k"},
+    "mcf-approx": {"epsilon": "epsilon"},
+}
+
+
+def _knob_help(name: str) -> str:
+    """``"lp solver 'paths' knobs: k"``, read off the solver's factory."""
+    params = inspect.signature(SOLVERS.get(name)).parameters.values()
+    knobs = ", ".join(p.name for p in params if p.kind is not p.VAR_KEYWORD)
+    return f"lp solver {name!r} " + (f"knobs: {knobs}" if knobs else "takes no knobs")
 
 
 # ----------------------------------------------------------------------

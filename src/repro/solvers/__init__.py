@@ -14,9 +14,9 @@ backend abstraction in front of it:
   backends (see :mod:`repro.solvers.backends`);
 * registry integration — backends live in
   :data:`repro.registry.SOLVERS` and are selectable from
-  ``ExperimentSpec`` (``workload.solver``), sweep JSON, and the CLI
-  (``--solver``); ``repro.registry.solver("mcf-approx:epsilon=0.1")``
-  builds one from a compact spec string.
+  ``ExperimentSpec`` (``workload.solver``), sweep JSON, the CLI
+  (``--solver``) and the API as one spec string with its knobs;
+  ``repro.registry.solver("mcf-approx:epsilon=0.1")`` builds one.
 
 The exact edge LP has one implementation,
 :class:`~repro.throughput.lp.EdgeLpContext`: ``highs-exact`` uses it

@@ -10,8 +10,8 @@ Five backends under eight registry names:
   calls.  Knob ``mode``: the default ``fallback`` re-solves with
   ``linprog`` and is byte-identical to ``highs-exact``; ``core`` (or
   ``auto``, where scipy's bundled HiGHS core imports) re-solves by dual
-  simplex from the previous basis.  ``solve_many`` is what the harness
-  Runner batches fixed-topology sweeps through.
+  simplex from the previous basis.  The harness Runner solves
+  fixed-topology sweeps of it on one context.
 * ``highs-colgen`` — exact *path* LP by column generation through a warm
   :class:`~repro.throughput.colgen.ColgenTopologyContext`: restricted
   master over a persistent path pool + dual-price pricing loop,
@@ -40,6 +40,7 @@ Every outcome carries the registry name the caller asked for
 
 from __future__ import annotations
 
+import inspect
 import numbers
 from typing import Any, Callable, Optional
 
@@ -225,6 +226,7 @@ def _alias(cls, name: str) -> Callable[..., Any]:
         return backend
 
     build.supports_batching = cls.supports_batching
+    build.__signature__ = inspect.signature(cls)
     return build
 
 

@@ -210,7 +210,7 @@ class SolverBackend:
     may override :meth:`solve_many` to amortize per-topology work across
     a batch — setting :attr:`supports_batching` so the harness
     :class:`~repro.harness.runner.Runner` knows it can group
-    fixed-topology sweep points through one backend instance.
+    fixed-topology sweep points onto one solver context.
 
     Backends whose formulation has a per-topology context also set
     :attr:`context_kind` and implement :meth:`new_context`; a caller
@@ -220,8 +220,8 @@ class SolverBackend:
     """
 
     name: str = "abstract"
-    #: True when solve_many amortizes shared structure across a batch
-    #: (the Runner batches fixed-topology lp points through it).
+    #: True when a batch amortizes shared structure (the Runner solves
+    #: fixed-topology lp points of such a backend on one context).
     supports_batching: bool = False
     #: The ``kind`` of the context :meth:`new_context` builds, or
     #: ``None`` for context-free backends.

@@ -91,26 +91,6 @@ class SkewSweepResult:
         ]
 
 
-def _solve_many(backend, topology, tms, warm: bool):
-    """Call ``solve_many`` with ``warm=`` when the backend accepts it.
-
-    Backends written against the :class:`repro.solvers.SolverBackend`
-    contract take the kwarg; test fakes and third-party backends with a
-    narrower signature still work without warm control.
-    """
-    import inspect
-
-    try:
-        params = inspect.signature(backend.solve_many).parameters
-    except (TypeError, ValueError):  # builtins / exotic callables
-        params = {}
-    if "warm" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ):
-        return backend.solve_many(topology, tms, warm=warm)
-    return backend.solve_many(topology, tms)
-
-
 def skew_sweep(
     topology: Topology,
     fractions: Sequence[float],
@@ -118,10 +98,8 @@ def skew_sweep(
         Callable[[Topology, float, int], TrafficMatrix]
     ] = None,
     solver: Any = "exact",
-    k_paths: int = 8,
     seed: int = 0,
     trials: int = 1,
-    epsilon: float = 0.05,
     warm: bool = True,
 ) -> SkewSweepResult:
     """Measure per-server throughput as the active-server fraction shrinks.
@@ -143,35 +121,25 @@ def skew_sweep(
     Parameters
     ----------
     solver:
-        A :data:`repro.registry.SOLVERS` name or spec string
-        (``"exact"``, ``"highs-batched"``, ``"mcf-approx:epsilon=0.1"``,
-        ...) or an already-built backend instance.  Unknown names raise
-        ``ValueError`` listing the valid choices.
-    k_paths:
-        ``k`` for the paths backends (ignored by the others).
-    epsilon:
-        Accuracy knob for ``mcf-approx`` (ignored by the others).
+        A :data:`repro.registry.SOLVERS` spec string, knobs included
+        (``"exact"``, ``"highs-paths:k=4"``,
+        ``"mcf-approx:epsilon=0.1"``, ...), or an already-built backend
+        instance.  Unknown names raise ``ValueError`` listing the valid
+        choices.
     tm_builder:
         ``f(topology, fraction, seed) -> TrafficMatrix``; defaults to
         :func:`repro.traffic.patterns.longest_matching_tm`.
     warm:
-        Passed through to backends whose ``solve_many`` accepts it (the
-        :class:`repro.solvers.SolverBackend` contract); backends with a
-        legacy/foreign signature are called without it.
+        ``False`` passes ``warm=False`` to the backend's ``solve_many``
+        (the :class:`repro.solvers.SolverBackend` contract), forcing
+        every point cold.
     """
     if hasattr(solver, "solve_many"):
         backend = solver
     else:
         from .. import registry  # lazy: avoids a module-import cycle
 
-        name = str(solver)
-        defaults: Dict[str, Any] = {}
-        base = name.split(":", 1)[0]
-        if base in ("paths", "highs-paths"):
-            defaults["k"] = k_paths
-        elif base == "mcf-approx":
-            defaults["epsilon"] = epsilon
-        backend = registry.solver(name, **defaults)
+        backend = registry.solver(solver)
     if tm_builder is None:
         tm_builder = lambda topo, frac, s: longest_matching_tm(topo, frac, seed=s)
 
@@ -180,7 +148,9 @@ def skew_sweep(
         for x in fractions
         for trial in range(trials)
     ]
-    outcomes = _solve_many(backend, topology, tms, warm)
+    # warm=True is the solve_many default, so the flag is passed only to
+    # turn reuse off: a backend with a narrower solve_many still runs.
+    outcomes = backend.solve_many(topology, tms, **({} if warm else {"warm": False}))
 
     values: List[float] = []
     statuses: List[str] = []

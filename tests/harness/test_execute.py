@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness import ExperimentSpec, SpecError
-from repro.harness.execute import _build_topology, execute_spec
+from repro.harness.execute import _build_topology, evaluate_lp, execute_spec
 
 
 class TestBuildTopology:
@@ -104,3 +104,65 @@ class TestEngines:
             custom.metrics["short_p99_fct_ms"]
             != default.metrics["short_p99_fct_ms"]
         )
+
+
+JELLYFISH = {"family": "jellyfish", "switches": 10, "degree": 4,
+             "servers": 2, "seed": 1}
+
+
+class TestEvaluateLp:
+    """The one LP path: harness records, cold calls and warm-state calls
+    agree point for point."""
+
+    POINTS = [(0.5, 1), (1.0, 1)]
+
+    def test_matches_the_harness_lp_engine(self):
+        evaluation = evaluate_lp(JELLYFISH, self.POINTS, "highs-paths:k=4")
+        for (fraction, seed), outcome in zip(self.POINTS, evaluation.outcomes):
+            record = execute_spec(ExperimentSpec(
+                topology=dict(JELLYFISH), engine="lp", seed=seed,
+                workload={"pattern": "longest_matching", "fraction": fraction,
+                          "solver": "paths", "k_paths": 4},
+            ))
+            assert record.metrics["per_server_throughput"] == outcome.result.per_server
+        assert evaluation.solver == "highs-paths"
+        assert evaluation.context_hit is None  # context-free backend
+        assert evaluation.cached == [False, False]
+
+    def test_warm_state_serves_topology_context_and_memo(self):
+        from repro.api import WarmState
+
+        state = WarmState()
+        cold = evaluate_lp(JELLYFISH, self.POINTS, "highs-batched")
+        first = evaluate_lp(JELLYFISH, self.POINTS, "highs-batched", state=state)
+        again = evaluate_lp(JELLYFISH, self.POINTS, "highs-batched", state=state)
+        assert (first.topology_hit, first.context_hit) == (False, False)
+        assert (again.topology_hit, again.context_hit) == (True, True)
+        assert first.cached == [False, False] and again.cached == [True, True]
+        for a, b, c in zip(cold.outcomes, first.outcomes, again.outcomes):
+            assert a.result.per_server == b.result.per_server == c.result.per_server
+            # The memo keeps no per-arc flows.
+            assert c.result.link_utilization is None
+
+    def test_warm_false_bypasses_the_state(self):
+        from repro.api import WarmState
+
+        state = WarmState()
+        evaluation = evaluate_lp(
+            JELLYFISH, self.POINTS, "highs-batched", warm=False, state=state
+        )
+        assert evaluation.context_hit is False
+        assert state.stats()["topologies"]["entries"] == 0
+        assert state.stats()["results"]["entries"] == 0
+
+    def test_failures_degrade_the_topology(self):
+        evaluation = evaluate_lp(
+            {"family": "fattree", "k": 4}, [(1.0, 0)], "exact",
+            failures="links:fraction=0.2,seed=3",
+        )
+        assert evaluation.topology.failed_links
+        assert evaluation.outcomes[0].ok
+
+    def test_bad_solver_knob_raises_value_error(self):
+        with pytest.raises(ValueError, match="k must be"):
+            evaluate_lp(JELLYFISH, self.POINTS, "highs-paths:k=0")

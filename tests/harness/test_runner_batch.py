@@ -55,12 +55,47 @@ class TestAutoBatching:
             assert a.telemetry == b.telemetry
 
     def test_solver_mode_reaches_the_warm_backend_under_both_names(self):
-        from repro.harness.execute import _lp_solver_backend
+        from repro import registry
 
         for name in ("highs-batched", "highs-incremental"):
-            backend = _lp_solver_backend({"solver": name, "solver_mode": "fallback"})
+            spec = _specs(name, mode="fallback")[0]
+            assert spec.solver_spec() == f'{name}:mode="fallback"'
+            backend = registry.solver(spec.solver_spec())
             assert backend.mode == "fallback"
             assert backend.name == name
+
+    def test_points_split_by_solver_knobs(self):
+        # Same topology and solver name, different knobs: two groups, so
+        # no point is solved with another point's knobs.
+        specs = _specs("highs-colgen") + [
+            ExperimentSpec(
+                name="k4", engine="lp", topology=dict(TOPOLOGY),
+                workload={"solver": "highs-colgen:k=4", "fraction": 1.0},
+            ),
+            ExperimentSpec(
+                name="k4-legacy", engine="lp", topology=dict(TOPOLOGY),
+                workload={"solver": "highs-colgen", "k_paths": 4,
+                          "fraction": 0.5},
+            ),
+        ]
+        keys = [Runner._batch_key(s) for s in specs]
+        assert len(set(keys)) == 2
+        assert keys[-1] == keys[-2]
+        assert keys[-1][2] == "highs-colgen:k=4"
+
+    def test_each_point_runs_with_its_own_knobs(self):
+        # One pricing round cannot certify this optimum, 200 can: the
+        # second point used to be batched with the first and fail too.
+        specs = [
+            ExperimentSpec(
+                name=f"rounds{r}", engine="lp", topology=dict(TOPOLOGY),
+                workload={"solver": "highs-colgen", "k_paths": 1,
+                          "max_rounds": r, "fraction": 1.0},
+            )
+            for r in (1, 200)
+        ]
+        records = Runner(jobs=1, retries=0).run(specs).records
+        assert [r.status for r in records] == ["failed", "ok"]
 
     def test_batch_key_gates_on_backend_and_engine(self):
         assert Runner._batch_key(_specs("highs-batched")[0]) is not None

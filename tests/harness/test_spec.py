@@ -127,6 +127,132 @@ class TestValidation:
         spec.validate()  # must not raise
 
 
+def lp_spec(**workload):
+    return ExperimentSpec(
+        topology={"family": "jellyfish", "switches": 8, "degree": 3,
+                  "servers": 1},
+        workload={"pattern": "longest_matching", **workload},
+        engine="lp",
+    )
+
+
+class TestSolverSpec:
+    """Solver knobs live in the solver spec string; the legacy workload
+    fields fold into it, and bad knobs fail at validate()."""
+
+    @pytest.mark.parametrize(
+        "workload, expected",
+        [
+            ({}, "exact"),
+            ({"solver": "highs-paths:k=4"}, "highs-paths:k=4"),
+            ({"solver": "paths", "k_paths": 4}, "paths:k=4"),
+            ({"solver": "mcf-approx", "epsilon": 0.1}, "mcf-approx:epsilon=0.1"),
+            ({"solver": "highs-batched", "solver_mode": "core"},
+             'highs-batched:mode="core"'),
+            ({"solver": "highs-colgen:passes=2", "k_paths": 3,
+              "max_rounds": 50},
+             "highs-colgen:k=3,max_rounds=50,passes=2"),
+        ],
+    )
+    def test_legacy_fields_fold_into_the_string(self, workload, expected):
+        spec = lp_spec(**workload)
+        spec.validate()
+        assert spec.solver_spec() == expected
+
+    def test_folding_keeps_the_spec_as_written(self):
+        spec = lp_spec(solver="paths", k_paths=4)
+        before = spec.content_hash()
+        spec.validate()
+        assert spec.workload == {"pattern": "longest_matching",
+                                 "solver": "paths", "k_paths": 4}
+        assert spec.content_hash() == before
+
+    @pytest.mark.parametrize(
+        "workload, match",
+        [
+            # A bad knob value used to validate, then fail (and be
+            # retried) as a plain ValueError inside the run.
+            ({"solver": "highs-paths", "k_paths": 2.5},
+             r"k must be an integer.*'highs-paths' knobs: k"),
+            ({"solver": "highs-paths:k=0"}, r"'highs-paths' knobs: k"),
+            ({"solver": "mcf-approx:epsilon=0.9"},
+             r"epsilon must be in.*'mcf-approx' knobs: epsilon"),
+            ({"solver": "highs-colgen:depth=3"},
+             r"depth.*'highs-colgen' knobs: k, phases, passes, "
+             r"max_rounds, mode"),
+            # A legacy field the solver does not take used to be ignored.
+            ({"solver": "highs-exact", "epsilon": 0.1},
+             r"'epsilon' does not apply.*'highs-exact' takes no knobs"),
+            ({"solver": "mcf-approx", "k_paths": 3},
+             r"'k_paths' does not apply.*'mcf-approx' knobs: epsilon"),
+            ({"solver": "paths", "solver_mode": "core"},
+             r"'solver_mode' does not apply.*'paths' knobs: k"),
+            # One knob, two places.
+            ({"solver": "highs-paths:k=4", "k_paths": 4},
+             r"'k' is set twice"),
+            ({"solver": "bogus"}, r"unknown lp solver 'bogus'"),
+            ({"solver": "highs-paths:k"}, r"malformed parameter"),
+        ],
+    )
+    def test_bad_solver_knobs_fail_at_validate(self, workload, match):
+        with pytest.raises(SpecError, match=match):
+            lp_spec(**workload).validate()
+
+    def test_bad_knob_is_a_fatal_failure_record(self):
+        from repro.harness import Runner
+
+        spec = lp_spec(solver="highs-paths", k_paths=2.5)
+        record = Runner(jobs=1, retries=2).run([spec]).records[0]
+        assert record.status == "failed"
+        assert record.attempts == 1
+        assert "knobs: k" in record.error
+
+
+#: The content hashes of every spec in the committed sweep files, in
+#: file order.  Folding the legacy solver fields must not move them.
+COMMITTED_SWEEP_HASHES = {
+    "fig2_solver_matrix.json": [
+        "eccaa8f263175943", "b14a13464cabb4ab", "d210db22e2289894",
+        "3230375e743f1fcc", "a9472fb805959e4c", "cada958872e782f0",
+        "7073be01dd3ee4cf", "7c7a869f09886418", "3702e38a3a157479",
+        "864d429d430a84ea", "d9c8a2288c593a70", "49df0a85feb914c5",
+        "3f85ad277e813e1d", "64a0ec2a8eefb9f4", "6da594df81eca765",
+        "2ad44cbab62c7e53", "5dfce030ca59f2d7", "d7e49ccbadd2d662",
+    ],
+    "profile_quick.json": [
+        "dca3dc5a8057d5f2", "1441be94f8e2dab3", "03b761d34307e7f6",
+        "a736a1ffc630c47a",
+    ],
+}
+
+#: sha256 over the 22 full hashes above, concatenated in file order.
+COMMITTED_SWEEP_DIGEST = (
+    "0feefda14380184ff5aa1363fbc705a92093f5b5aea5300754f53c03fccd3285"
+)
+
+
+def test_committed_sweep_hashes_are_pinned():
+    import hashlib
+    import os
+
+    from repro import SPEC_HASH_VERSION
+
+    sweeps = os.path.join(
+        os.path.dirname(__file__), os.pardir, os.pardir, "benchmarks", "sweeps"
+    )
+    full = []
+    for name, expected in COMMITTED_SWEEP_HASHES.items():
+        hashes = [
+            spec.content_hash()
+            for spec in load_sweep_file(os.path.join(sweeps, name))
+        ]
+        assert [h[:16] for h in hashes] == expected, name
+        full += hashes
+    digest = hashlib.sha256("".join(full).encode()).hexdigest()
+    assert digest == COMMITTED_SWEEP_DIGEST
+    assert SPEC_HASH_VERSION == "spec-hash/1-sha256"
+
+
 class TestSweepExpansion:
     DOC = {
         "defaults": {

@@ -28,14 +28,13 @@ def _obs_disabled():
          "--servers", "2"],
         ["topology", "fattree", "--k", "4"],
         ["throughput", "jellyfish", "--switches", "8", "--degree", "4",
-         "--servers", "2", "--fractions", "1.0", "--solver", "paths",
-         "--k-paths", "4"],
+         "--servers", "2", "--fractions", "1.0", "--solver", "paths:k=4"],
         ["throughput", "jellyfish", "--switches", "8", "--degree", "4",
          "--servers", "2", "--fractions", "1.0", "--solver",
          "highs-batched"],
         ["throughput", "jellyfish", "--switches", "8", "--degree", "4",
-         "--servers", "2", "--fractions", "1.0", "--solver", "mcf-approx",
-         "--epsilon", "0.1"],
+         "--servers", "2", "--fractions", "1.0", "--solver",
+         "mcf-approx:epsilon=0.1"],
         ["cost"],
         ["cost", "--kind", "jellyfish", "--switches", "8", "--degree", "4",
          "--servers", "2"],
@@ -74,6 +73,26 @@ class TestExitCodes:
                    "--failure", "nonsense-mode"])
         assert rc == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "solver", ["paths:k=0", "mcf-approx:epsilon=0.9", "bogus", "paths:q=2"]
+    )
+    def test_throughput_bad_solver_spec_exits_two(self, solver, capsys):
+        rc = main(["throughput", "jellyfish", "--switches", "8", "--degree",
+                   "4", "--servers", "2", "--fractions", "1.0",
+                   "--solver", solver])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("throughput: ")
+
+    def test_throughput_solver_knobs_ride_in_the_spec_string(self, capsys):
+        argv = ["throughput", "jellyfish", "--switches", "8", "--degree",
+                "4", "--servers", "2", "--fractions", "0.5,1.0", "--solver"]
+        assert main(argv + ["paths:k=2"]) == 0
+        k2 = capsys.readouterr().out
+        assert main(argv + ["highs-paths:k=2"]) == 0
+        assert capsys.readouterr().out == k2
+        assert main(argv + ["paths:k=8"]) == 0
+        assert capsys.readouterr().out != k2
 
     def test_throughput_solver_failure_exits_one(self, capsys, monkeypatch):
         import repro.throughput.lp as lp

@@ -77,7 +77,7 @@ class TestSkewSweep:
 
     def test_paths_solver(self):
         jf = jellyfish(12, 4, 3, seed=0)
-        result = skew_sweep(jf, [0.5], solver="paths", k_paths=6)
+        result = skew_sweep(jf, [0.5], solver="paths:k=6")
         assert 0 <= result.throughput[0] <= 1
 
     def test_rows_rendering(self):
