@@ -95,7 +95,7 @@ def test_warm_sweep_speedup_and_equivalence(mode):
     )
     for exact, outcome in zip(cold_results, warm_outcomes):
         # Equivalence gate vs highs-exact: byte-identical on the
-        # linprog fallback, 1e-9 with basis reuse on the core.
+        # cold fallback, 1e-9 with basis reuse on the core.
         if mode == "core":
             assert abs(outcome.result.throughput - exact.throughput) <= 1e-9
         else:

@@ -214,14 +214,16 @@ class Runner:
         return records
 
     @staticmethod
-    def _batch_key(spec: ExperimentSpec) -> Optional[Tuple[str, str, str]]:
+    def _batch_key(
+        spec: ExperimentSpec,
+    ) -> Optional[Tuple[str, str, str, bool]]:
         """Group key for a validated lp point; ``None`` = not batchable.
 
-        Points batch together when they share topology, failures, and a
+        Points batch together when they share topology, failures, a
         solver spec (name and knobs) whose backend advertises
-        ``supports_batching`` — the TM (fraction / seed) is the only
-        thing that varies inside a group, which is exactly what one
-        solver context amortizes over.
+        ``supports_batching``, and ``workload.warm`` — the TM
+        (fraction / seed) is the only thing that varies inside a group,
+        which is exactly what one solver context amortizes over.
         """
         if spec.engine != "lp":
             return None
@@ -235,13 +237,14 @@ class Runner:
             json.dumps(spec.topology, sort_keys=True),
             json.dumps(spec.failures, sort_keys=True),
             solver,
+            bool(spec.workload.get("warm", True)),
         )
 
     def _run_batches(self, specs, records) -> None:
         """Solve fixed-topology lp groups in-process, one context each.
 
         Pending points whose solver supports batching are grouped by
-        (topology, failures, solver spec) and executed here — no worker
+        (topology, failures, solver spec, warm) and executed here — no worker
         forks, topology/ArcTable built once per group.  ``timeout_s``
         is not enforced for batched points (they run in this process);
         a group that fails wholesale (e.g. the topology itself cannot

@@ -199,6 +199,11 @@ class ExperimentSpec:
                 f"valid patterns: {WORKLOAD_PATTERNS}"
             )
         if self.engine == "lp":
+            if pattern != "longest_matching":
+                raise SpecError(
+                    f"pattern {pattern!r} needs a packet or flow engine; "
+                    "the lp engine solves longest_matching TMs only"
+                )
             # Build the solver once, so bad knobs fail here, not in a run.
             text = self.solver_spec()
             try:

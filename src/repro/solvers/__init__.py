@@ -21,10 +21,12 @@ backend abstraction in front of it:
 The exact edge LP has one implementation,
 :class:`~repro.throughput.lp.EdgeLpContext`: ``highs-exact`` uses it
 one-shot, ``highs-incremental`` / ``highs-batched`` keep it warm.  Its
-default ``linprog`` path is byte-identical to ``highs-exact``; with
-``mode=core`` warm solves re-solve with dual simplex from the previous
-basis on scipy's bundled HiGHS core, the one binding column generation
-also runs on (:func:`have_highs_core` says whether it imports).
+default cold path (a fresh HiGHS model per solve) is byte-identical to
+``highs-exact``; with ``mode=core`` warm solves re-solve with dual
+simplex from the previous basis on a live model.  Every LP runs on
+scipy's bundled HiGHS core through one binding
+(:func:`have_highs_core` says whether it imports; without it, cold
+solves call ``linprog``).
 ``mcf-approx`` is guaranteed within its (1 - O(epsilon)) bound and
 never above the exact optimum.
 See ``docs/solvers.md`` and the warm-start section of

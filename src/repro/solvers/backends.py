@@ -7,10 +7,11 @@ Five backends under eight registry names:
 * ``highs-incremental`` (alias ``highs-batched``) — the same edge LP
   through a warm :class:`~repro.throughput.lp.EdgeLpContext`: cached
   constraint structure per demand support across sweep points and
-  calls.  Knob ``mode``: the default ``fallback`` re-solves with
-  ``linprog`` and is byte-identical to ``highs-exact``; ``core`` (or
-  ``auto``, where scipy's bundled HiGHS core imports) re-solves by dual
-  simplex from the previous basis.  The harness Runner solves
+  calls.  Knob ``mode``: the default ``fallback`` re-solves cold (a
+  fresh HiGHS model per solve) and is byte-identical to
+  ``highs-exact``; ``core`` (or ``auto``, where scipy's bundled HiGHS
+  core imports) re-solves a live model by dual simplex from the
+  previous basis.  The harness Runner solves
   fixed-topology sweeps of it on one context.
 * ``highs-colgen`` — exact *path* LP by column generation through a warm
   :class:`~repro.throughput.colgen.ColgenTopologyContext`: restricted
@@ -29,9 +30,11 @@ Five backends under eight registry names:
   the exact optimum (never above it).
 
 The two warm backends share one ``mode`` table (:data:`MODES`):
-``auto`` runs on scipy's bundled HiGHS core where it imports and on
-``linprog`` otherwise, ``core`` requires the core, ``fallback`` forces
-``linprog``; ``highspy`` is accepted as a synonym of ``core``.
+``auto`` keeps a live model on scipy's bundled HiGHS core where it
+imports and solves cold otherwise, ``core`` requires the core,
+``fallback`` forces cold solves (no basis reuse: a fresh core model
+per solve, ``linprog`` without the core); ``highspy`` is accepted as
+a synonym of ``core``.
 
 Every outcome carries the registry name the caller asked for
 (``exact`` reports ``exact``, ``highs-batched`` reports
@@ -65,13 +68,14 @@ __all__ = [
 ]
 
 
-#: The warm backends' ``mode`` knob: does the engine run on scipy's
-#: bundled HiGHS core?  ``None`` means wherever the core imports.
+#: The warm backends' ``mode`` knob: does the engine keep a live model
+#: on scipy's bundled HiGHS core (basis reuse)?  ``None`` means wherever
+#: the core imports.
 MODES = {"auto": None, "core": True, "highspy": True, "fallback": False}
 
 
 def _use_core(mode: Any) -> bool:
-    """Resolve a ``mode`` knob to whether the engine runs on the core."""
+    """Resolve a ``mode`` knob to whether the engine keeps a live model."""
     if not isinstance(mode, str) or mode not in MODES:
         raise ValueError(
             f"mode must be auto/core/fallback (highspy = core), got {mode!r}"
@@ -119,8 +123,8 @@ class HighsIncrementalBackend(WarmBackend):
     """Exact edge LP with cross-point *and* cross-call warm starts.
 
     ``mode`` selects the engine from :data:`MODES`.  The default,
-    ``"fallback"``, patches cached matrices and re-solves with
-    ``linprog``: byte-identical to ``highs-exact``.  ``"core"`` keeps a
+    ``"fallback"``, patches cached matrices and re-solves them cold:
+    byte-identical to ``highs-exact``.  ``"core"`` keeps a
     live HiGHS model per cached structure and re-solves by dual simplex
     from the previous basis (within 1e-9 of ``highs-exact``, faster on
     sweeps, more memory per structure); ``"auto"`` is ``core`` where
@@ -144,9 +148,9 @@ class HighsColgenBackend(WarmBackend):
 
     ``mode`` selects the engine from :data:`MODES`: the default,
     ``"auto"``, runs warm ``addCols`` re-solves on scipy's bundled
-    HiGHS core where it imports and the pure-``linprog`` loop
-    otherwise; ``"core"`` requires the core; ``"fallback"`` forces
-    ``linprog`` (tests, portability).
+    HiGHS core where it imports and cold re-assembled masters
+    otherwise; ``"core"`` requires the core; ``"fallback"`` forces the
+    cold masters (tests, portability).
     """
 
     name = "highs-colgen"

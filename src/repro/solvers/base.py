@@ -84,7 +84,7 @@ class SolveOutcome:
     basis_reused:
         True when the solver additionally re-solved with dual simplex
         from the previous basis (the warm edge LP with ``mode=core``;
-        the default ``linprog`` path reuses structure but not bases).
+        the default cold path reuses structure but not bases).
     """
 
     status: SolveStatus

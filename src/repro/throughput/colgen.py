@@ -41,14 +41,15 @@ Three tricks keep the loop short and the endgame honest:
   ``sum(cap * w) / sum(d_i * dist_w(s_i, t_i))`` bounds the optimum from
   above.
 
-Two engines share the formulation:
+Two engines share the formulation, both through
+:mod:`repro.throughput.highs`:
 
-* scipy's bundled HiGHS core (through :mod:`repro.throughput.highs`,
-  the binding the warm edge LP shares) — model built once, new columns
-  appended with ``addCols`` and re-solved warm from the previous basis;
-* a pure ``linprog`` fallback (used when the core is absent) that
-  re-assembles the restricted master each round — same pool, same
-  pricing, same stop rule, just without warm re-solves.
+* warm — a live HiGHS model built once, new columns appended with
+  ``addCols`` and re-solved from the previous basis;
+* cold — the restricted master re-assembled each round and solved
+  afresh by :func:`~repro.throughput.highs.solve_cold` (byte-identical
+  to ``linprog``, which it calls where scipy lacks the core) — same
+  pool, same pricing, same stop rule, just without warm re-solves.
 
 Degenerate conventions, the failure taxonomy, and the result type are
 exactly those of :func:`~repro.throughput.lp.max_concurrent_throughput`.
@@ -63,15 +64,15 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .. import obs
 from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .arcs import ArcTable
-from .errors import SolverNumericalError, raise_for_linprog
-from .highs import build_model, have_highs_core, raise_for_status
+from . import highs
+from .errors import SolverNumericalError
 from .lp import (
     ThroughputResult,
     _component_labels,
@@ -102,8 +103,9 @@ class ColgenStats:
     Attributes
     ----------
     engine:
-        ``"highs-core"`` (warm ``addCols`` loop) or ``"linprog"``
-        (re-assembled fallback masters).
+        ``"highs-core"`` (warm ``addCols`` loop), ``"highs-core-cold"``
+        (re-assembled masters, a fresh core model each) or
+        ``"linprog"`` (re-assembled masters, no core bindings).
     rounds:
         Pricing rounds run (each = one master optimum priced).
     columns:
@@ -377,7 +379,9 @@ def _solve_core(
     starts, idx, val, _counts, _flat = _master_arrays(pool, dem_vals, nd)
     cost = np.zeros(nv0 + 1)
     cost[nv0] = -1.0
-    h = build_model(cost, starts, idx, val, nd, caps)
+    h = highs.build_model(
+        cost, starts, idx, val, *highs.row_bounds(caps, nd, eq_first=True)
+    )
     iterations = 0
 
     def _run() -> None:
@@ -388,7 +392,7 @@ def _solve_core(
         solved += int(getattr(info, "ipm_iteration_count", 0) or 0)
         iterations += solved
         obs.add("lp.solver_iterations", solved)
-        raise_for_status(h, formulation, context, iterations)
+        highs.raise_for_status(h, formulation, context, iterations)
 
     # Cold solve: the path LP is massively degenerate under simplex
     # (thousands of equal-length alternatives), while IPM converges in
@@ -469,9 +473,9 @@ def _solve_core(
 
 
 # ----------------------------------------------------------------------
-# Engine 2: pure-linprog fallback (masters re-assembled per round)
+# Engine 2: cold masters, re-assembled and solved afresh per round
 # ----------------------------------------------------------------------
-def _solve_linprog(
+def _solve_cold(
     pricer: _Pricer,
     pool: _Pool,
     caps: np.ndarray,
@@ -481,14 +485,17 @@ def _solve_linprog(
     formulation: str,
     context: Optional[Dict[str, Any]],
 ) -> Tuple[float, np.ndarray, int]:
-    import scipy.sparse as sp
-
     nd = pricer.nd
     m = caps.size
     dem_vals = pricer.dem_vals
     iterations = 0
 
     def _master():
+        """Solve the master over the current pool; ``(x, row_dual)``.
+
+        Rows follow :func:`~repro.throughput.highs.solve_cold`: the
+        ``m`` arc capacities, then the ``nd`` demand equalities.
+        """
         nonlocal iterations
         nv = len(pool)
         counts = np.asarray([len(c) for c in pool.cols], dtype=np.intp)
@@ -497,36 +504,33 @@ def _solve_linprog(
             if nv
             else np.empty(0, dtype=np.intp)
         )
-        owner = np.asarray(pool.owners, dtype=np.intp)
-        eq_rows = np.concatenate([owner, np.arange(nd, dtype=np.intp)])
-        eq_cols = np.concatenate(
-            [np.arange(nv, dtype=np.intp), np.full(nd, nv, dtype=np.intp)]
-        )
-        eq_vals = np.concatenate([np.ones(nv), -dem_vals])
-        a_eq = sp.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(nd, nv + 1))
-        ub_cols = np.repeat(np.arange(nv, dtype=np.intp), counts)
-        a_ub = sp.csr_matrix(
-            (np.ones(flat.size), (flat, ub_cols)), shape=(m, nv + 1)
-        )
+        path_cols = np.arange(nv, dtype=np.intp)
+        rows = np.concatenate([
+            flat,
+            m + np.asarray(pool.owners, dtype=np.intp),
+            m + np.arange(nd, dtype=np.intp),
+        ])
+        cols = np.concatenate([
+            np.repeat(path_cols, counts), path_cols,
+            np.full(nd, nv, dtype=np.intp),
+        ])
+        vals = np.concatenate([np.ones(flat.size + nv), -dem_vals])
+        matrix = sp.csc_matrix((vals, (rows, cols)), shape=(m + nd, nv + 1))
         c = np.zeros(nv + 1)
         c[nv] = -1.0
-        res = linprog(
-            c, A_ub=a_ub, b_ub=caps, A_eq=a_eq, b_eq=np.zeros(nd),
-            bounds=[(0, None)] * (nv + 1), method="highs",
+        x, row_dual, solved = highs.solve_cold(
+            c, matrix, caps, formulation=formulation, context=context
         )
-        solved = int(getattr(res, "nit", 0) or 0)
         iterations += solved
-        obs.add("lp.solver_iterations", solved)
-        raise_for_linprog(res, formulation=formulation, context=context)
-        return res
+        return x, row_dual
 
     # Zero rounds is the pricing-off master: the seeded solve stands.
-    res = _master()
+    x, row_dual = _master()
     for _ in range(max_rounds):
         stats.rounds += 1
         obs.add("colgen.pricing_rounds")
-        lam = res.eqlin.marginals
-        w = np.maximum(-res.ineqlin.marginals, 0.0)
+        lam = row_dual[m:]
+        w = np.maximum(-row_dual[:m], 0.0)
         with obs.span("colgen.pricing", round=stats.rounds):
             added, _improving, _ub = _price_round(
                 pricer, pool, caps, lam, w, passes
@@ -543,9 +547,9 @@ def _solve_linprog(
                 context=context,
             )
         with obs.span("colgen.master", columns=len(pool), warm=False):
-            res = _master()
-    nv = int(res.x.size - 1)
-    return float(res.x[nv]), np.asarray(res.x[:nv], dtype=float), iterations
+            x, row_dual = _master()
+    nv = int(x.size - 1)
+    return float(x[nv]), np.asarray(x[:nv], dtype=float), iterations
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +577,7 @@ def colgen_solve(
     back (bounded by :data:`POOL_CAP_PER_PAIR`) — how
     :class:`ColgenTopologyContext` warm-starts
     repeated solves.  ``use_core=None`` auto-detects the bundled HiGHS
-    core; ``False`` forces the linprog fallback (tests).
+    core for the warm engine; ``False`` forces the cold engine.
 
     ``max_rounds=0`` prices nothing: the seeded master is solved once
     and reported as the ``"paths"`` formulation — with ``phases=0`` and
@@ -585,8 +589,8 @@ def colgen_solve(
     nd = len(demands)
     stats = ColgenStats()
     if use_core is None:
-        use_core = have_highs_core()
-    stats.engine = "highs-core" if use_core else "linprog"
+        use_core = highs.have_highs_core()
+    stats.engine = highs.engine_label(use_core)
 
     obs.add("lp.calls")
     with obs.span("lp.assemble", formulation=formulation, demands=nd, k=k):
@@ -617,7 +621,7 @@ def colgen_solve(
             with obs.span("colgen.pool_build", phases=stats.phases):
                 _mwu_sweep(pricer, pool, caps, stats.phases)
 
-    engine = _solve_core if use_core else _solve_linprog
+    engine = _solve_core if use_core else _solve_cold
     with obs.span(
         "lp.solve", formulation=formulation, variables=len(pool) + 1
     ):
@@ -700,7 +704,9 @@ class ColgenTopologyContext:
         self.phases = phases
         self.passes = int(passes)
         self.max_rounds = int(max_rounds)
-        self.use_core = have_highs_core() if use_core is None else bool(use_core)
+        self.use_core = (
+            highs.have_highs_core() if use_core is None else bool(use_core)
+        )
         self._pool: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
         self._pool_lock = threading.Lock()
         self._lock = threading.Lock()
@@ -775,7 +781,7 @@ class ColgenTopologyContext:
                 "warm_solves": self.warm_solves,
                 "pricing_rounds": self.pricing_rounds,
                 "columns_added": self.columns_added,
-                "engine": "highs-core" if self.use_core else "linprog",
+                "engine": highs.engine_label(self.use_core),
             }
 
 

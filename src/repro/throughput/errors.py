@@ -13,9 +13,12 @@ HiGHS status codes (``scipy.optimize.OptimizeResult.status``):
 0 optimal, 1 iteration limit, 2 infeasible, 3 unbounded, 4 numerical
 difficulties.  Codes 1 and 4 both map to
 :class:`SolverNumericalError` — neither says anything about the
-problem itself, only about the solve.  The warm engines read a HiGHS
-*model* status instead; :func:`repro.throughput.highs.raise_for_status`
-maps it onto the same classes.
+problem itself, only about the solve.  A cold core solve
+(:func:`repro.throughput.highs.solve_cold`) maps its HiGHS *model*
+status to these codes exactly as ``linprog`` does; the warm engines
+read the model status directly and
+:func:`repro.throughput.highs.raise_for_status` maps it onto the same
+classes.
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ classic *maximum concurrent flow* problem.  Two formulations are provided:
   much smaller LPs on large networks.  It is the path master of
   :mod:`repro.throughput.colgen` solved once with pricing off.
 
-Both use scipy's HiGHS solver with sparse constraint matrices.
+Both reach HiGHS through :mod:`repro.throughput.highs` with sparse
+constraint matrices: a cold solve is
+:func:`~repro.throughput.highs.solve_cold`, byte-identical to
+``scipy.optimize.linprog`` on the same rows.
 
 Constraint assembly is vectorized: conservation and capacity blocks are
 built from numpy coordinate arrays over the :class:`~.arcs.ArcTable`
@@ -38,15 +41,14 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .. import obs
 from ..perf import Lru
 from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .arcs import ArcTable
-from .errors import SolverNumericalError, raise_for_linprog
-from .highs import build_model, have_highs_core, raise_for_status
+from . import highs
+from .errors import SolverNumericalError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perf import PathCache
@@ -359,7 +361,6 @@ class _LpStructure:
 
     num_dests: int
     a_eq: sp.csr_matrix  # data patched in place between solves
-    b_eq: np.ndarray
     a_ub: sp.csr_matrix
     demand_slots: np.ndarray  # index into a_eq.data per support entry
     demand_rows: np.ndarray  # equality-row index per support entry
@@ -385,9 +386,10 @@ class EdgeLpContext:
       cached structure keeps its live model;
     * by default (``use_core=False``) the patched canonical CSR
       matrices are *identical* to fresh assembly and go through the
-      same ``linprog`` call as a cold solve, so results are
-      byte-identical to :func:`max_concurrent_throughput` — which is
-      itself a one-shot context solved with ``warm=False``.
+      same cold solve (:func:`~repro.throughput.highs.solve_cold`, a
+      fresh HiGHS model per solve), so results are byte-identical to
+      :func:`max_concurrent_throughput` — which is itself a one-shot
+      context solved with ``warm=False``.
 
     Solves never serialize on the context: the structure LRU (a
     :class:`repro.perf.Lru`) locks only around its own dictionary
@@ -409,10 +411,10 @@ class EdgeLpContext:
         self.table = ArcTable.from_topology(topology)
         self.labels: Dict[int, int] = _component_labels(topology.graph)
         self.use_core = bool(use_core)
-        if self.use_core and not have_highs_core():
+        if self.use_core and not highs.have_highs_core():
             raise ValueError(
                 "use_core=True needs scipy's bundled HiGHS core, which "
-                "this scipy build lacks; use the linprog engine"
+                "this scipy build lacks; use the cold engine"
             )
         self.max_structures = int(max_structures)
         self._structures = Lru(self.max_structures, "lp.structures")
@@ -477,7 +479,7 @@ class EdgeLpContext:
                     structure, per_server_demand, dropped, context
                 )
             else:
-                result = self._solve_linprog(
+                result = self._solve_cold(
                     structure, per_server_demand, dropped, context
                 )
             structure.solved_once = True
@@ -500,7 +502,7 @@ class EdgeLpContext:
         with obs.span(
             "lp.assemble", formulation="exact", demands=len(support)
         ):
-            a_eq, b_eq, a_ub = _assemble_exact_vectorized(
+            a_eq, _b_eq, a_ub = _assemble_exact_vectorized(
                 table, dests, demand_to
             )
         dest_index = {d: i for i, d in enumerate(dests)}
@@ -523,7 +525,6 @@ class EdgeLpContext:
         structure = _LpStructure(
             num_dests=num_dests,
             a_eq=a_eq,
-            b_eq=b_eq,
             a_ub=a_ub,
             demand_slots=slots,
             demand_rows=rows,
@@ -549,7 +550,7 @@ class EdgeLpContext:
                 )
         structure.values = values.copy()
 
-    def _solve_linprog(
+    def _solve_cold(
         self,
         structure: _LpStructure,
         per_server_demand: float,
@@ -558,20 +559,15 @@ class EdgeLpContext:
     ) -> ThroughputResult:
         num_vars = structure.num_dests * self.table.num_arcs + 1
         with obs.span("lp.solve", formulation="exact", variables=num_vars):
-            res = linprog(
+            x, _duals, iterations = highs.solve_cold(
                 _c_for_exact(num_vars),
-                A_ub=structure.a_ub,
-                b_ub=self.table.caps,
-                A_eq=structure.a_eq,
-                b_eq=structure.b_eq,
-                bounds=[(0, None)] * num_vars,
-                method="highs",
+                sp.vstack([structure.a_ub, structure.a_eq], format="csc"),
+                self.table.caps,
+                formulation="exact",
+                context=context,
             )
-        iterations = int(getattr(res, "nit", 0) or 0)
-        obs.add("lp.solver_iterations", iterations)
-        raise_for_linprog(res, formulation="exact", context=context)
         return _exact_result(
-            self.table, res.x, structure.num_dests, per_server_demand,
+            self.table, x, structure.num_dests, per_server_demand,
             dropped, iterations,
         )
 
@@ -580,13 +576,14 @@ class EdgeLpContext:
     # ------------------------------------------------------------------
     def _build_highs_model(self, structure: _LpStructure):
         matrix = sp.vstack([structure.a_eq, structure.a_ub]).tocsc()
-        return build_model(
+        return highs.build_model(
             _c_for_exact(matrix.shape[1]),
             matrix.indptr,
             matrix.indices,
             matrix.data,
-            structure.a_eq.shape[0],
-            self.table.caps,
+            *highs.row_bounds(
+                self.table.caps, structure.a_eq.shape[0], eq_first=True
+            ),
         )
 
     def _solve_core(
@@ -606,7 +603,7 @@ class EdgeLpContext:
         info = h.getInfo()
         iterations = int(getattr(info, "simplex_iteration_count", 0) or 0)
         obs.add("lp.solver_iterations", iterations)
-        raise_for_status(h, "exact", context, iterations)
+        highs.raise_for_status(h, "exact", context, iterations)
         x = np.asarray(h.getSolution().col_value, dtype=float)
         return _exact_result(
             self.table, x, structure.num_dests, per_server_demand,
@@ -624,7 +621,7 @@ class EdgeLpContext:
                 "models_built": self.models_built,
                 "warm_solves": self.warm_solves,
                 "cold_solves": self.cold_solves,
-                "engine": "highs-core" if self.use_core else "linprog",
+                "engine": highs.engine_label(self.use_core),
             }
 
 
@@ -657,8 +654,8 @@ def max_concurrent_throughput(
     Destination-aggregated arc-flow LP: variables ``f[d, a]`` (flow bound
     for destination ToR ``d`` on arc ``a``) plus the concurrency ``t``;
     conservation at every node except the destination; arc capacity sums
-    over destinations.  A one-shot :class:`EdgeLpContext` solve: scipy's
-    HiGHS on freshly assembled matrices, nothing cached.
+    over destinations.  A one-shot :class:`EdgeLpContext` solve: one
+    cold HiGHS solve on freshly assembled matrices, nothing cached.
 
     Degenerate cases are conventions, not errors: an empty TM returns
     ``(inf, 1.0)``; a TM whose demands are all disconnected returns
@@ -685,7 +682,7 @@ def path_throughput(
     It is the column-generation master of
     :mod:`repro.throughput.colgen` seeded with the k shortest paths and
     solved once with pricing off (``phases=0``, ``max_rounds=0``) on
-    the ``linprog`` engine; failures report ``formulation="paths"``.
+    the cold engine; failures report ``formulation="paths"``.
 
     Degenerate cases follow the same convention as the exact LP: empty
     TM returns ``(inf, 1.0)``, all-disconnected returns ``(0.0, 0.0)``;

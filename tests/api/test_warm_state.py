@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.api import ApiService, InProcessClient, WarmState
 from repro.perf import clear_shared_caches
+from repro.solvers import have_highs_core
 
 JELLYFISH = "jellyfish:switches=12,degree=4,servers=2"
 
@@ -202,7 +203,11 @@ def test_context_surfaces_warm_start_counters_and_incremental_stats(client):
     assert ctx["kind"] == "edge-lp"
     assert ctx["models_built"] >= 1
     assert ctx["cold_solves"] >= 1
-    assert ctx["engine"] == "linprog"
+    # No live model: each solve builds a fresh core model (``linprog``
+    # only where scipy lacks the core bindings).
+    assert ctx["engine"] == (
+        "highs-core-cold" if have_highs_core() else "linprog"
+    )
     # The third request repeated fraction 0.5 → served from the result
     # memo, so solves stay at two and both were cold (new supports).
     assert ctx["cold_solves"] + ctx["warm_solves"] == 2

@@ -7,6 +7,8 @@ from repro.harness.execute import execute_lp_batch, execute_spec
 from repro.harness.runner import _task_main
 from repro.throughput import InfeasibleError, SolverFailure
 
+from ..lp_faults import fail_cold_solves
+
 TOPOLOGY = {
     "family": "jellyfish", "switches": 10, "degree": 4,
     "servers": 2, "seed": 1,
@@ -16,7 +18,7 @@ FRACTIONS = [1.0, 0.75, 0.5]
 
 def _specs(solver, prefix="p", mode=None, **extra):
     """One lp spec per fraction; ``mode`` sets the workload's
-    ``solver_mode`` (``"fallback"``, also the default, pins the linprog
+    ``solver_mode`` (``"fallback"``, also the default, pins the cold
     path, byte-identical to ``exact``)."""
     workload = {"solver": solver}
     if mode is not None:
@@ -97,6 +99,32 @@ class TestAutoBatching:
         records = Runner(jobs=1, retries=0).run(specs).records
         assert [r.status for r in records] == ["failed", "ok"]
 
+    def test_each_point_runs_with_its_own_warm_flag(self, monkeypatch):
+        # Points differing only in ``warm`` used to share a group and run
+        # with the first point's flag.
+        import repro.harness.execute as execute
+
+        seen = []
+        real = execute.evaluate_lp
+
+        def recording(topology, points, solver, **kwargs):
+            seen.append((len(points), kwargs["warm"]))
+            return real(topology, points, solver, **kwargs)
+
+        monkeypatch.setattr(execute, "evaluate_lp", recording)
+        specs = [
+            ExperimentSpec(
+                name=f"warm-{warm}", engine="lp", topology=dict(TOPOLOGY),
+                workload={"solver": "highs-batched", "fraction": 1.0,
+                          "warm": warm},
+            )
+            for warm in (True, False)
+        ]
+        records = Runner(jobs=1, retries=0).run(specs).records
+        assert [r.status for r in records] == ["ok", "ok"]
+        assert sorted(seen) == [(1, False), (1, True)]
+        assert Runner._batch_key(specs[0]) != Runner._batch_key(specs[1])
+
     def test_batch_key_gates_on_backend_and_engine(self):
         assert Runner._batch_key(_specs("highs-batched")[0]) is not None
         assert Runner._batch_key(_specs("exact")[0]) is None
@@ -146,11 +174,7 @@ class TestAutoBatching:
 
 class TestBatchFailureIsolation:
     def test_infeasible_point_becomes_failure_record(self, monkeypatch):
-        import repro.throughput.lp as lp
-
-        monkeypatch.setattr(
-            lp, "linprog", lambda *a, **k: _FakeRes(2, message="infeasible")
-        )
+        fail_cold_solves(monkeypatch, _FakeRes(2, message="infeasible"))
         records = execute_lp_batch(_specs("highs-batched", mode="fallback"))
         assert all(r.status == "failed" for r in records)
         assert all(r.error.startswith("InfeasibleError:") for r in records)

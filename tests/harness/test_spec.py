@@ -126,6 +126,21 @@ class TestValidation:
         )
         spec.validate()  # must not raise
 
+    @pytest.mark.parametrize("pattern", ["permute", "a2a", "bogus"])
+    def test_lp_spec_accepts_only_longest_matching(self, pattern):
+        # The lp engine always builds a longest-matching TM, so any other
+        # pattern would be silently ignored (and hash differently).
+        spec = ExperimentSpec(
+            topology={"family": "jellyfish", "switches": 8, "degree": 3,
+                      "servers": 1},
+            workload={"pattern": pattern, "fraction": 0.5},
+            engine="lp",
+        )
+        with pytest.raises(SpecError, match="pattern"):
+            spec.validate()
+        spec.workload.pop("pattern")
+        spec.validate()  # the default is longest_matching
+
 
 def lp_spec(**workload):
     return ExperimentSpec(

@@ -16,9 +16,12 @@ from repro.throughput import (
     SolverFailure,
     SolverNumericalError,
     UnboundedError,
+    highs,
 )
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
+
+from ..lp_faults import fail_cold_solves
 
 
 class _FakeRes:
@@ -101,11 +104,8 @@ class TestOutcomeClassification:
         ],
     )
     def test_highs_statuses(self, small, monkeypatch, status, cls, terminal):
-        import repro.throughput.lp as lp
-
-        monkeypatch.setattr(
-            lp, "linprog",
-            lambda *a, **k: _FakeRes(status, message="solver said no"),
+        fail_cold_solves(
+            monkeypatch, _FakeRes(status, message="solver said no")
         )
         topo, tm = small
         outcome = HighsExactBackend().solve(topo, tm)
@@ -119,11 +119,7 @@ class TestOutcomeClassification:
             outcome.raise_for_status()
 
     def test_success_without_solution_vector(self, small, monkeypatch):
-        import repro.throughput.lp as lp
-
-        monkeypatch.setattr(
-            lp, "linprog", lambda *a, **k: _FakeRes(0, success=True, x=None)
-        )
+        fail_cold_solves(monkeypatch, _FakeRes(0, success=True, x=None))
         topo, tm = small
         outcome = HighsExactBackend().solve(topo, tm)
         assert outcome.status is SolveStatus.NUMERICAL
@@ -141,12 +137,10 @@ class TestOutcomeClassification:
         assert outcome.raise_for_status() is outcome
 
     def test_non_solver_exceptions_propagate(self, small, monkeypatch):
-        import repro.throughput.lp as lp
-
         def boom(*a, **k):
             raise KeyError("formulation bug")
 
-        monkeypatch.setattr(lp, "linprog", boom)
+        monkeypatch.setattr(highs, "solve_cold", boom)
         topo, tm = small
         with pytest.raises(KeyError):
             HighsExactBackend().solve(topo, tm)

@@ -94,7 +94,7 @@ def test_colgen_matches_exact_within_1e9(build):
 
 
 def test_fallback_engine_matches_exact():
-    """The pure-linprog engine runs the same pool/pricing/stop rule and
+    """The cold-master engine runs the same pool/pricing/stop rule and
     must land on the same certified optimum."""
     topo = jellyfish(12, 4, 2, seed=3)
     base = longest_matching_tm(topo, 1.0, seed=1)
@@ -105,7 +105,9 @@ def test_fallback_engine_matches_exact():
         exact = max_concurrent_throughput(topo, tm)
         assert abs(outcome.result.throughput - exact.throughput) <= 1e-9
     stats = backend.context_stats()
-    assert stats["engine"] == "linprog"
+    assert stats["engine"] == (
+        "highs-core-cold" if have_highs_core() else "linprog"
+    )
 
 
 def test_link_utilization_is_feasible_and_tight():

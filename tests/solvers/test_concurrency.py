@@ -10,9 +10,8 @@ import threading
 
 import pytest
 
-import repro.throughput.lp as lp
 from repro.solvers import HighsIncrementalBackend
-from repro.throughput import EdgeLpContext, max_concurrent_throughput
+from repro.throughput import EdgeLpContext, highs, max_concurrent_throughput
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
 
@@ -47,13 +46,13 @@ def test_two_solves_on_one_context_run_concurrently(topo, monkeypatch):
     backend.solve_in(context, base)  # cache the support's structure
 
     barrier = threading.Barrier(2, timeout=5)
-    real = lp.linprog
+    real = highs.solve_cold
 
-    def meeting_linprog(*args, **kwargs):
+    def meeting_solve(*args, **kwargs):
         barrier.wait()
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "linprog", meeting_linprog)
+    monkeypatch.setattr(highs, "solve_cold", meeting_solve)
     tms = [base.scaled(0.5), base.scaled(2.0)]  # same demand support
     outcomes = [None, None]
 
@@ -68,7 +67,7 @@ def test_two_solves_on_one_context_run_concurrently(topo, monkeypatch):
     for t in threads:
         t.join(timeout=20)
     assert not errors, errors
-    monkeypatch.setattr(lp, "linprog", real)
+    monkeypatch.setattr(highs, "solve_cold", real)
     for tm, outcome in zip(tms, outcomes):
         assert outcome.ok
         assert outcome.result == max_concurrent_throughput(topo, tm)
@@ -85,15 +84,15 @@ def test_flags_belong_to_their_own_solve(topo, monkeypatch):
     backend.solve_in(context, base)
 
     entered, release = threading.Event(), threading.Event()
-    real = lp.linprog
+    real = highs.solve_cold
 
-    def pausing_linprog(*args, **kwargs):
+    def pausing_solve(*args, **kwargs):
         if threading.current_thread().name == "paused":
             entered.set()
             assert release.wait(timeout=5)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "linprog", pausing_linprog)
+    monkeypatch.setattr(highs, "solve_cold", pausing_solve)
     outcomes = {}
     other = longest_matching_tm(topo, 0.5, seed=2)
     threads, errors = _run_threads(

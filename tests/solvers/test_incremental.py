@@ -2,7 +2,7 @@
 
 The property test: across ≥50 random jellyfish/xpander instances and
 multi-point load grids, warm-started objective values must match
-``highs-exact`` within 1e-9 on both engines — the default ``linprog``
+``highs-exact`` within 1e-9 on both engines — the default cold
 fallback (in fact byte-identical: it patches cached canonical CSR
 matrices into exactly what fresh assembly would build) and basis reuse
 on scipy's bundled HiGHS core (``mode=core``).  Plus the forced-refactorization contract: any
@@ -240,7 +240,7 @@ def test_mode_validation(monkeypatch):
         for mode in ("auto", "core", "highspy"):
             if mode == "auto" or have_highs_core():
                 assert cls(mode=mode).use_core is have_highs_core()
-    # Defaults: the edge LP stays on linprog, colgen takes the core.
+    # Defaults: the edge LP stays cold, colgen keeps a live core model.
     assert HighsIncrementalBackend().use_core is False
     assert HighsColgenBackend().use_core is have_highs_core()
     # ``highspy`` stays a synonym of ``core`` in spec strings.

@@ -13,6 +13,8 @@ from repro import obs
 from repro.cli import main
 from repro.obs import load_manifest
 
+from .lp_faults import fail_cold_solves
+
 
 @pytest.fixture(autouse=True)
 def _obs_disabled():
@@ -95,12 +97,10 @@ class TestExitCodes:
         assert capsys.readouterr().out != k2
 
     def test_throughput_solver_failure_exits_one(self, capsys, monkeypatch):
-        import repro.throughput.lp as lp
-
         class _Fake:
             status, success, x, message, nit = 2, False, None, "infeasible", 3
 
-        monkeypatch.setattr(lp, "linprog", lambda *a, **k: _Fake())
+        fail_cold_solves(monkeypatch, _Fake())
         rc = main(["throughput", "jellyfish", "--switches", "8", "--degree",
                    "4", "--servers", "2", "--fractions", "1.0"])
         captured = capsys.readouterr()

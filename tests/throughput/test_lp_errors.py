@@ -4,7 +4,8 @@ Before the taxonomy, any HiGHS failure surfaced as ``RuntimeError(res.message)``
 and a "successful" result without a solution vector crashed on
 ``res.x[t_var]``.  These tests pin the mapping, the carried context, and
 backward compatibility (every class is still a ``RuntimeError``) — for
-``linprog`` results and for the model statuses of the two warm engines
+``linprog``-shaped results (what every cold solve raises through) and
+for the model statuses of the two warm engines
 on scipy's bundled HiGHS core, which share one map.
 """
 
@@ -24,6 +25,8 @@ from repro.throughput import highs
 from repro.throughput.errors import raise_for_linprog
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
+
+from ..lp_faults import fail_cold_solves
 
 
 class _FakeRes:
@@ -97,10 +100,8 @@ class TestRaiseForLinprog:
 
 class TestEntryPointsRaiseTyped:
     def test_exact_formulation(self, instance, monkeypatch):
-        import repro.throughput.lp as lp
-
         topo, tm = instance
-        monkeypatch.setattr(lp, "linprog", lambda *a, **k: _FakeRes(2))
+        fail_cold_solves(monkeypatch, _FakeRes(2))
         with pytest.raises(InfeasibleError) as info:
             max_concurrent_throughput(topo, tm)
         assert info.value.formulation == "exact"
@@ -108,20 +109,16 @@ class TestEntryPointsRaiseTyped:
         assert info.value.context["demands"] == tm.num_flows
 
     def test_paths_formulation(self, instance, monkeypatch):
-        import repro.throughput.colgen as colgen
-
         topo, tm = instance
-        monkeypatch.setattr(colgen, "linprog", lambda *a, **k: _FakeRes(3))
+        fail_cold_solves(monkeypatch, _FakeRes(3))
         with pytest.raises(UnboundedError) as info:
             path_throughput(topo, tm, k=4)
         assert info.value.formulation == "paths"
         assert info.value.context["k"] == 4
 
     def test_legacy_except_runtimeerror_still_works(self, instance, monkeypatch):
-        import repro.throughput.lp as lp
-
         topo, tm = instance
-        monkeypatch.setattr(lp, "linprog", lambda *a, **k: _FakeRes(4))
+        fail_cold_solves(monkeypatch, _FakeRes(4))
         try:
             max_concurrent_throughput(topo, tm)
         except RuntimeError as exc:
