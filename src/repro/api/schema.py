@@ -7,18 +7,58 @@ new spec field lacks a schema entry — see the guard in
 :func:`experiment_spec_schema`), and every enumeration (topology
 families, workload patterns, engines, routings, solver names) is read
 from the live registries, so the schema can never drift from what the
-validator actually accepts.
+validator actually accepts.  The lp ``solver`` is a solver spec string
+(a registry name plus optional ``:knob=value`` knobs), so it is a
+``pattern`` over the registry's names rather than an enum, and the
+legacy knob fields (:data:`~repro.harness.spec.LEGACY_SOLVER_FIELDS`)
+are listed as deprecated aliases.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict
 
-from ..harness.spec import ENGINES, ExperimentSpec
+from ..harness.spec import ENGINES, LEGACY_SOLVER_FIELDS, ExperimentSpec
 
-__all__ = ["experiment_spec_schema", "SCHEMA_ID"]
+__all__ = ["experiment_spec_schema", "solver_pattern", "SCHEMA_ID"]
 
-SCHEMA_ID = "repro/experiment-spec/1"
+SCHEMA_ID = "repro/experiment-spec/2"
+
+_KNOB = r"\s*[A-Za-z_][A-Za-z0-9_]*\s*=[^,]*"
+
+
+def solver_pattern() -> str:
+    """The ``pattern`` a workload ``solver`` spec string matches: a
+    :data:`repro.registry.SOLVERS` name, then optional knobs
+    (``"highs-paths:k=4"``, ``"mcf-approx:epsilon=0.1"``)."""
+    from .. import registry
+
+    names = "|".join(
+        re.escape(name).replace("\\-", "-")
+        for name in registry.SOLVERS.available()
+    )
+    return f"^(?:{names})(?::{_KNOB}(?:,{_KNOB})*)?$"
+
+
+def _legacy_solver_fields() -> Dict[str, Dict[str, Any]]:
+    """One deprecated entry per legacy workload knob field."""
+    knobs: Dict[str, Dict[str, list]] = {}
+    for solver, fields in LEGACY_SOLVER_FIELDS.items():
+        for field, knob in fields.items():
+            knobs.setdefault(field, {}).setdefault(knob, []).append(solver)
+    return {
+        field: {
+            "deprecated": True,
+            "description": "deprecated alias of the solver spec knob "
+            + "; ".join(
+                f"'{knob}' ({', '.join(solvers)})"
+                for knob, solvers in by_knob.items()
+            )
+            + ": write it into 'solver' as '<name>:<knob>=<value>'",
+        }
+        for field, by_knob in knobs.items()
+    }
 
 
 def _number(description: str, **extra: Any) -> Dict[str, Any]:
@@ -74,13 +114,13 @@ def _field_schemas() -> Dict[str, Dict[str, Any]]:
                 "horizon": _number("workload generation horizon (s)"),
                 "solver": {
                     "type": "string",
-                    "enum": list(registry.SOLVERS.available()),
+                    "description": (
+                        "lp solver spec string: a registry.SOLVERS name "
+                        "with optional knobs, e.g. 'highs-paths:k=4'"
+                    ),
+                    "pattern": solver_pattern(),
                 },
-                "k_paths": {"type": "integer", "minimum": 1},
-                "epsilon": _number(
-                    "mcf-approx accuracy knob", exclusiveMinimum=0,
-                    exclusiveMaximum=0.5,
-                ),
+                **_legacy_solver_fields(),
             },
             "additionalProperties": True,
         },

@@ -6,12 +6,15 @@ Five backends under eight registry names:
   via :func:`~repro.throughput.lp.max_concurrent_throughput`.
 * ``highs-incremental`` (alias ``highs-batched``) — the same edge LP
   through a warm :class:`~repro.throughput.lp.EdgeLpContext`: cached
-  constraint structure per demand support across sweep points and
-  calls.  Knob ``mode``: the default ``fallback`` re-solves cold (a
-  fresh HiGHS model per solve) and is byte-identical to
-  ``highs-exact``; ``core`` (or ``auto``, where scipy's bundled HiGHS
-  core imports) re-solves a live model by dual simplex from the
-  previous basis.  The harness Runner solves
+  constraint structure and last optimum per demand support across
+  sweep points and calls.  Knob ``mode``: the default ``fallback``
+  re-solves cold (a fresh HiGHS model per solve), returns the stored
+  optimum when a TM's coefficients equal the last solve's, and is
+  byte-identical to ``highs-exact``; ``core`` (or ``auto``, where
+  scipy's bundled HiGHS core imports) also keeps the last optimal
+  basis and starts each re-solve's dual simplex there: the objective
+  within 1e-9 of ``highs-exact``, per-arc flows depending on solve
+  order.  The harness Runner solves
   fixed-topology sweeps of it on one context.
 * ``highs-colgen`` — exact *path* LP by column generation through a warm
   :class:`~repro.throughput.colgen.ColgenTopologyContext`: restricted
@@ -30,11 +33,13 @@ Five backends under eight registry names:
   the exact optimum (never above it).
 
 The two warm backends share one ``mode`` table (:data:`MODES`):
-``auto`` keeps a live model on scipy's bundled HiGHS core where it
-imports and solves cold otherwise, ``core`` requires the core,
+``auto`` re-solves warm on scipy's bundled HiGHS core where it imports
+(the edge LP from its stored basis, colgen on a live model for the
+length of one solve) and cold otherwise, ``core`` requires the core,
 ``fallback`` forces cold solves (no basis reuse: a fresh core model
 per solve, ``linprog`` without the core); ``highspy`` is accepted as
-a synonym of ``core``.
+a synonym of ``core``.  The edge LP defaults to ``fallback``, colgen
+to ``auto``.
 
 Every outcome carries the registry name the caller asked for
 (``exact`` reports ``exact``, ``highs-batched`` reports
@@ -68,14 +73,14 @@ __all__ = [
 ]
 
 
-#: The warm backends' ``mode`` knob: does the engine keep a live model
-#: on scipy's bundled HiGHS core (basis reuse)?  ``None`` means wherever
+#: The warm backends' ``mode`` knob: does the engine re-solve warm on
+#: scipy's bundled HiGHS core (basis reuse)?  ``None`` means wherever
 #: the core imports.
 MODES = {"auto": None, "core": True, "highspy": True, "fallback": False}
 
 
 def _use_core(mode: Any) -> bool:
-    """Resolve a ``mode`` knob to whether the engine keeps a live model."""
+    """Resolve a ``mode`` knob to whether the engine re-solves warm."""
     if not isinstance(mode, str) or mode not in MODES:
         raise ValueError(
             f"mode must be auto/core/fallback (highspy = core), got {mode!r}"
@@ -108,7 +113,7 @@ class HighsExactBackend(SolverBackend):
     """Exact edge LP, one self-contained HiGHS call per TM."""
 
     name = "highs-exact"
-    #: Shares the warm edge-LP context of ``highs-incremental`` where a
+    #: Shares the cold edge-LP context of ``highs-incremental`` where a
     #: caller keeps contexts (the API); ``solve`` stays cold per call.
     context_kind = EdgeLpContext.kind
 
@@ -123,24 +128,30 @@ class HighsIncrementalBackend(WarmBackend):
     """Exact edge LP with cross-point *and* cross-call warm starts.
 
     ``mode`` selects the engine from :data:`MODES`.  The default,
-    ``"fallback"``, patches cached matrices and re-solves them cold:
-    byte-identical to ``highs-exact``.  ``"core"`` keeps a
-    live HiGHS model per cached structure and re-solves by dual simplex
-    from the previous basis (within 1e-9 of ``highs-exact``, faster on
-    sweeps, more memory per structure); ``"auto"`` is ``core`` where
-    the bundled core imports.
+    ``"fallback"``, patches cached matrices and re-solves them cold
+    (or returns the stored optimum of unchanged coefficients):
+    byte-identical to ``highs-exact``, the engine for records that
+    must match it bit for bit.  ``"core"`` also keeps each cached
+    structure's last optimal basis (a few status bytes per row and
+    column, no live model) and starts the next solve's dual simplex
+    there: faster on sweeps, the objective within 1e-9 of
+    ``highs-exact``, but on a degenerate LP the per-arc flows depend
+    on which solve left the basis.  ``"auto"`` is ``core`` where the
+    bundled core imports.
     """
 
     name = "highs-incremental"
-    context_kind = EdgeLpContext.kind
 
     def __init__(self, mode: str = "fallback"):
         super().__init__()
         self.use_core = _use_core(mode)
         self.mode = mode
+        # Cold and basis-reusing contexts answer differently, so they
+        # are different kinds: a caller's context cache never mixes them.
+        self.context_kind = EdgeLpContext.kind_of(self.use_core)
 
     def new_context(self, topology) -> EdgeLpContext:
-        return EdgeLpContext(topology, use_core=self.use_core)
+        return EdgeLpContext(topology, reuse_basis=self.use_core)
 
 
 class HighsColgenBackend(WarmBackend):

@@ -82,9 +82,10 @@ class SolveOutcome:
         assembled LP structure (warm edge LP) or a path pool covering
         every demand (colgen); always False for cold paths.
     basis_reused:
-        True when the solver additionally re-solved with dual simplex
-        from the previous basis (the warm edge LP with ``mode=core``;
-        the default cold path reuses structure but not bases).
+        True when the result came from a dual simplex started at the
+        structure's previous optimal basis (the warm edge LP with
+        ``mode=core``; the default cold path reuses structure but not
+        bases, and colgen never reports one).
     """
 
     status: SolveStatus
@@ -122,6 +123,7 @@ _STATS_KEYS = (
     "miss",
     "context_hit",
     "context_miss",
+    "results_reused",
     "basis_reused",
     "models_built",
 )
@@ -135,7 +137,17 @@ def _note(key: str, amount: int = 1) -> None:
 
 
 def warm_start_stats() -> Dict[str, int]:
-    """Process-wide ``solver.warm_start.*`` counts (JSON-ready copy)."""
+    """Process-wide ``solver.warm_start.*`` counts (JSON-ready copy).
+
+    ``hit`` / ``miss``: solves that did / did not reuse a cached edge-LP
+    structure or a covering colgen pool; ``context_hit`` /
+    ``context_miss``: a backend's own context reuse; ``results_reused``:
+    edge-LP results answered from a structure's stored optimum without
+    a solve; ``basis_reused``: results from a solve started at a stored
+    basis; ``models_built``:
+    HiGHS models the edge LP built (one per solve, plus one per warm
+    start retried cold).
+    """
     with _STATS_LOCK:
         return dict(_STATS)
 
@@ -158,8 +170,9 @@ def solve_outcome(
     bug in the formulation should not masquerade as a solver outcome.
 
     Warm contexts fill ``flags`` with their per-solve ``warm_started`` /
-    ``basis_reused`` (plus ``model_built`` or ``pricing_rounds``); the
-    flags land on the outcome, on the ``solver.solve`` span and in the
+    ``basis_reused`` (plus the edge LP's ``result_reused`` and
+    ``models_built`` count or colgen's ``pricing_rounds``); the flags
+    land on the outcome, on the ``solver.solve`` span and in the
     ``solver.warm_start.*`` counters.  Because every solve owns its own
     ``flags``, concurrent solves on one context never see each other's.
     """
@@ -184,10 +197,12 @@ def solve_outcome(
             attrs.update(flags)
     if "warm_started" in flags:
         _note("hit" if flags["warm_started"] else "miss")
+    if flags.get("result_reused"):
+        _note("results_reused")
     if flags.get("basis_reused"):
         _note("basis_reused")
-    if flags.get("model_built"):
-        _note("models_built")
+    if flags.get("models_built"):
+        _note("models_built", flags["models_built"])
     obs.add(f"solver.status.{status.value}")
     return SolveOutcome(
         status=status,

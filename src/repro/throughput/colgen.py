@@ -47,7 +47,7 @@ Two engines share the formulation, both through
 * warm — a live HiGHS model built once, new columns appended with
   ``addCols`` and re-solved from the previous basis;
 * cold — the restricted master re-assembled each round and solved
-  afresh by :func:`~repro.throughput.highs.solve_cold` (byte-identical
+  afresh by :func:`~repro.throughput.highs.solve` (byte-identical
   to ``linprog``, which it calls where scipy lacks the core) — same
   pool, same pricing, same stop rule, just without warm re-solves.
 
@@ -493,7 +493,7 @@ def _solve_cold(
     def _master():
         """Solve the master over the current pool; ``(x, row_dual)``.
 
-        Rows follow :func:`~repro.throughput.highs.solve_cold`: the
+        Rows follow :func:`~repro.throughput.highs.solve`: the
         ``m`` arc capacities, then the ``nd`` demand equalities.
         """
         nonlocal iterations
@@ -518,11 +518,11 @@ def _solve_cold(
         matrix = sp.csc_matrix((vals, (rows, cols)), shape=(m + nd, nv + 1))
         c = np.zeros(nv + 1)
         c[nv] = -1.0
-        x, row_dual, solved = highs.solve_cold(
+        solution = highs.solve(
             c, matrix, caps, formulation=formulation, context=context
         )
-        iterations += solved
-        return x, row_dual
+        iterations += solution.iterations
+        return solution.x, solution.row_dual
 
     # Zero rounds is the pricing-off master: the seeded solve stands.
     x, row_dual = _master()
@@ -590,7 +590,7 @@ def colgen_solve(
     stats = ColgenStats()
     if use_core is None:
         use_core = highs.have_highs_core()
-    stats.engine = highs.engine_label(use_core)
+    stats.engine = highs.engine_label("live" if use_core else None)
 
     obs.add("lp.calls")
     with obs.span("lp.assemble", formulation=formulation, demands=nd, k=k):
@@ -781,7 +781,7 @@ class ColgenTopologyContext:
                 "warm_solves": self.warm_solves,
                 "pricing_rounds": self.pricing_rounds,
                 "columns_added": self.columns_added,
-                "engine": highs.engine_label(self.use_core),
+                "engine": highs.engine_label("live" if self.use_core else None),
             }
 
 

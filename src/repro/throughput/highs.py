@@ -5,26 +5,30 @@ bindings, ``scipy.optimize._highspy._core``, and this module is the only
 one that imports them.  It holds the lazy loader, the one model builder
 and the two ways a model is solved:
 
-* **warm** — the edge LP's basis reuse
-  (:class:`~repro.throughput.lp.EdgeLpContext` with ``use_core=True``)
-  and column generation's ``addCols`` loop
-  (:mod:`repro.throughput.colgen`) keep a live model and re-solve it
-  from the previous basis; :func:`raise_for_status` maps its model
-  status to the typed :mod:`~repro.throughput.errors` failures through
-  the one status table, ``_FAILURES``, that cold solves also read;
-* **cold** — :func:`solve_cold` builds a fresh model in
+* **one-shot** — :func:`solve` builds a fresh model in
   ``scipy.optimize.linprog``'s exact row layout and options, solves it
-  once and returns what ``linprog`` would, byte for byte, without
-  ``linprog``'s input conversion and result copying.  On a scipy build
-  without the core bindings it calls ``linprog`` itself: the one
-  ``linprog`` call in the library.
+  once, drops it and returns the solution plus the final simplex basis.
+  Without a starting basis it is a cold solve: what ``linprog`` would
+  return, byte for byte, without ``linprog``'s input conversion and
+  result copying.  Given the basis of an earlier optimum of the same
+  rows and columns (the edge LP's opt-in basis reuse,
+  :class:`~repro.throughput.lp.EdgeLpContext` with
+  ``reuse_basis=True``), it starts the dual simplex there instead.  On
+  a scipy build without the core bindings it calls ``linprog`` itself:
+  the one ``linprog`` call in the library;
+* **live** — column generation's ``addCols`` loop
+  (:mod:`repro.throughput.colgen`) keeps one model for the length of a
+  solve and re-solves it from the previous basis;
+  :func:`raise_for_status` maps its model status to the typed
+  :mod:`~repro.throughput.errors` failures through the one status
+  table, ``_FAILURES``, that :func:`solve` also reads.
 """
 
 from __future__ import annotations
 
 import threading
 from types import SimpleNamespace
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -42,7 +46,8 @@ __all__ = [
     "row_bounds",
     "build_model",
     "raise_for_status",
-    "solve_cold",
+    "Solution",
+    "solve",
     "engine_label",
 ]
 
@@ -56,8 +61,8 @@ def have_highs_core() -> bool:
 
     They ship with every scipy build that has the HiGHS ``linprog``
     methods; no extra install is involved.  Where they are absent (or
-    their surface moved) cold solves go through ``linprog`` and the
-    warm engines are unavailable: same optimum, no warm re-solves.
+    their surface moved) solves go through ``linprog`` and the warm
+    engines are unavailable: same optimum, no warm re-solves.
     """
     return _highs_core() is not None
 
@@ -87,9 +92,9 @@ def row_bounds(
     """``(row_lower, row_upper)`` of the max-concurrent-flow shape.
 
     ``num_eq`` equality rows at zero (conservation or demand rows) and
-    one ``row <= cap`` row per arc.  The warm engines put the
+    one ``row <= cap`` row per arc.  Colgen's live model puts the
     equalities first (``eq_first=True``); ``linprog`` stacks the
-    capacities first, and :func:`solve_cold` follows it.
+    capacities first, and :func:`solve` follows it.
     """
     inf = _highs_core().kHighsInf
     eq = np.zeros(num_eq)
@@ -143,7 +148,7 @@ def raise_for_status(
     context: Optional[Mapping[str, Any]] = None,
     iterations: int = 0,
 ) -> None:
-    """Map a non-optimal model status of a warm model to a typed exception.
+    """Map a non-optimal model status of a live model to a typed exception.
 
     Returns silently at ``kOptimal``; otherwise raises the class of the
     status's ``_FAILURES`` entry, carrying ``iterations``, the
@@ -161,25 +166,30 @@ def raise_for_status(
     )
 
 
-def engine_label(live_model: bool) -> str:
+def engine_label(warm: Optional[str] = None) -> str:
     """What a solver context's solves run on, for its ``stats()``.
 
-    ``highs-core``: a live core model re-solved from its basis;
-    ``highs-core-cold``: a fresh core model per solve
-    (:func:`solve_cold`); ``linprog``: no core bindings in this scipy.
+    ``warm="live"`` — ``highs-core``: a live core model re-solved from
+    its basis (colgen); ``warm="basis"`` — ``highs-core-basis``: a
+    fresh core model per solve (:func:`solve`), started from the last
+    optimal basis (the edge LP's ``mode=core``); otherwise
+    ``highs-core-cold``: a fresh core model per solve, solved cold;
+    ``linprog``: no core bindings in this scipy.
     """
-    if live_model:
-        return "highs-core"
-    return "highs-core-cold" if have_highs_core() else "linprog"
+    if not have_highs_core():
+        return "linprog"
+    return {"live": "highs-core", "basis": "highs-core-basis"}.get(
+        warm, "highs-core-cold"
+    )
 
 
 #: The one map from a non-optimal HiGHS model status to its failure:
-#: the class a warm engine raises (:func:`raise_for_status`), then
-#: ``linprog``'s status code and message prefix, which a cold solve
-#: copies (:func:`solve_cold`).  The columns disagree where ``linprog``
-#: does: unbounded-or-infeasible is code 4 (numerical) cold but
-#: infeasible warm, and a model error is code 2 (infeasible) cold but
-#: numerical warm.
+#: the class a live model raises (:func:`raise_for_status`), then
+#: ``linprog``'s status code and message prefix, which :func:`solve`
+#: copies.  The columns disagree where ``linprog`` does:
+#: unbounded-or-infeasible is code 4 (numerical) in :func:`solve` but
+#: infeasible live, and a model error is code 2 (infeasible) in
+#: :func:`solve` but numerical live.
 _FAILURES = {
     "kTimeLimit": (SolverNumericalError, 1, "Time limit reached. "),
     "kIterationLimit": (SolverNumericalError, 1, "Iteration limit reached. "),
@@ -207,26 +217,47 @@ def _failure(status) -> Tuple[type, int, str]:
 _RESIDUAL_TOL = np.sqrt(1e-9) * 10
 
 
-def solve_cold(
+class Solution(NamedTuple):
+    """What :func:`solve` returns for a checked optimum."""
+
+    x: np.ndarray
+    #: ``row_dual[:caps.size]`` is ``linprog``'s ``ineqlin.marginals``,
+    #: the rest its ``eqlin.marginals``.
+    row_dual: np.ndarray
+    iterations: int
+    #: The optimum's final basis (a few status bytes per row and column,
+    #: no live model), or ``None`` where scipy lacks the core.
+    basis: Any
+    #: True when the simplex started from the given basis; False for a
+    #: cold solve, including one whose basis HiGHS rejected.
+    warm: bool
+
+
+def solve(
     cost: np.ndarray,
     matrix,
     caps: np.ndarray,
     *,
     formulation: str,
     context: Optional[Mapping[str, Any]] = None,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """One cold solve of ``min cost . x`` over ``x >= 0``, as ``linprog``.
+    basis: Any = None,
+) -> Solution:
+    """One solve of ``min cost . x`` over ``x >= 0`` on a fresh model.
 
     ``matrix`` is a scipy CSC matrix whose first ``caps.size`` rows are
     arc capacities (``row <= caps``) and whose remaining rows are
-    equalities to zero: ``linprog``'s ``[A_ub; A_eq]`` stack.  The model
-    gets ``linprog``'s bounds and options (presolve on, dual simplex),
-    so ``x`` and the iteration count are byte-identical to ``linprog``
-    on the same rows.
+    equalities to zero: ``linprog``'s ``[A_ub; A_eq]`` stack.  Without
+    a ``basis`` the model gets ``linprog``'s bounds and options
+    (presolve on, dual simplex), so ``x`` and the iteration count are
+    byte-identical to ``linprog`` on the same rows.  With the basis of
+    an earlier optimum over the same rows and columns (only
+    coefficient values may differ), presolve is off and the dual
+    simplex starts from that basis: the same objective to solver
+    tolerance, usually in far fewer iterations, though a degenerate LP
+    may end at another optimal vertex.  A basis HiGHS rejects is
+    dropped and the solve runs cold, as without one.
 
-    Returns ``(x, row_dual, iterations)``: ``row_dual[:caps.size]`` is
-    ``linprog``'s ``ineqlin.marginals`` and the rest its
-    ``eqlin.marginals``.  A non-optimal solve raises the
+    Returns a :class:`Solution`.  A non-optimal solve raises the
     :class:`~repro.throughput.errors.SolverFailure` that
     :func:`~repro.throughput.errors.raise_for_linprog` raises on the
     ``linprog`` result: same class, ``status_code`` and iterations, and
@@ -239,8 +270,11 @@ def solve_cold(
         cost, matrix.indptr, matrix.indices, matrix.data,
         *row_bounds(caps, matrix.shape[0] - caps.size, eq_first=False),
     )
-    h.setOptionValue("presolve", "on")
+    h.setOptionValue("presolve", "on" if basis is None else "off")
     h.setOptionValue("simplex_strategy", 1)  # dual
+    warm = basis is not None and h.setBasis(basis) == core.HighsStatus.kOk
+    if basis is not None and not warm:
+        h.setOptionValue("presolve", "on")
     run_status = h.run()
     info = h.getInfo()
     iterations = 0
@@ -282,11 +316,14 @@ def solve_cold(
         formulation=formulation,
         context=context,
     )
-    return x, np.array(solution.row_dual), iterations
+    return Solution(
+        x, np.array(solution.row_dual), iterations, h.getBasis(), warm
+    )
 
 
 def _solve_linprog(cost, matrix, caps, formulation, context):
-    """:func:`solve_cold` on a scipy build without the core bindings."""
+    """:func:`solve` on a scipy build without the core bindings (no
+    basis: the warm edge LP needs the core)."""
     m = caps.size
     res = linprog(
         cost,
@@ -301,4 +338,4 @@ def _solve_linprog(cost, matrix, caps, formulation, context):
     obs.add("lp.solver_iterations", iterations)
     raise_for_linprog(res, formulation=formulation, context=context)
     row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
-    return res.x, row_dual, iterations
+    return Solution(res.x, row_dual, iterations, None, False)

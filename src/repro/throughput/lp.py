@@ -11,8 +11,9 @@ classic *maximum concurrent flow* problem.  Two formulations are provided:
   ``(#pairs) x (#arcs)``; optimal value is unchanged (flows to the same
   destination can always be merged).  :class:`EdgeLpContext` is the one
   implementation: a per-topology context that also caches assembled
-  LPs across solves (and, on scipy's bundled HiGHS core, simplex
-  bases); the function is a one-shot use of it.
+  LPs and their last optima across solves (and, with opt-in basis
+  reuse, each one's last optimal simplex basis); the function is a
+  one-shot use of it.
 * :func:`path_throughput` — restricted to k shortest paths per demand
   (a lower bound on the exact optimum, asymptotically tight as k grows);
   much smaller LPs on large networks.  It is the path master of
@@ -20,7 +21,7 @@ classic *maximum concurrent flow* problem.  Two formulations are provided:
 
 Both reach HiGHS through :mod:`repro.throughput.highs` with sparse
 constraint matrices: a cold solve is
-:func:`~repro.throughput.highs.solve_cold`, byte-identical to
+:func:`~repro.throughput.highs.solve`, byte-identical to
 ``scipy.optimize.linprog`` on the same rows.
 
 Constraint assembly is vectorized: conservation and capacity blocks are
@@ -48,7 +49,7 @@ from ..topologies.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .arcs import ArcTable
 from . import highs
-from .errors import SolverNumericalError
+from .errors import SolverFailure, SolverNumericalError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perf import PathCache
@@ -84,7 +85,9 @@ class ThroughputResult:
     iterations:
         Solver iterations spent (simplex/IPM for the LPs, completed
         phases for the MCF approximation); zero for degenerate results
-        that never reach a solver.
+        that never reach a solver, and for a warm solve whose starting
+        basis was already optimal.  A result answered from a stored
+        optimum reports the iterations of the solve that found it.
 
     Notes
     -----
@@ -360,13 +363,18 @@ class _LpStructure:
     """One fully assembled exact LP, ready for coefficient patching."""
 
     num_dests: int
-    a_eq: sp.csr_matrix  # data patched in place between solves
-    a_ub: sp.csr_matrix
-    demand_slots: np.ndarray  # index into a_eq.data per support entry
-    demand_rows: np.ndarray  # equality-row index per support entry
+    #: ``[capacities; equalities]``, the row layout of
+    #: :func:`~repro.throughput.highs.solve`; demand coefficients are
+    #: patched in place between solves.
+    matrix: sp.csc_matrix
+    demand_slots: np.ndarray  # index into matrix.data per support entry
     values: np.ndarray  # current (positive) demand values, support order
-    highs: Any = None  # persistent HiGHS core model, with use_core
-    solved_once: bool = False
+    #: The optimum of the current coefficients and the iterations it
+    #: took; ``None`` until solved and again after a patch changes them.
+    x: Optional[np.ndarray] = None
+    iterations: int = 0
+    #: Final basis of the last optimal solve (``reuse_basis`` only).
+    basis: Any = None
 
 
 class EdgeLpContext:
@@ -377,19 +385,25 @@ class EdgeLpContext:
     keeps a bounded LRU of fully assembled LP structures keyed by demand
     structure (destination set + demand support).  A later solve over a
     cached support patches only the demand coefficients of ``t`` and
-    re-solves:
+    re-solves; when no coefficient changed, the structure's stored
+    optimum is the answer and nothing is solved.  Every solve is one
+    :func:`~repro.throughput.highs.solve` on a fresh HiGHS model,
+    dropped afterwards; no model outlives its solve.
 
-    * with ``use_core=True`` the model lives in a persistent HiGHS
-      model on scipy's bundled core (:mod:`repro.throughput.highs`),
-      patched through ``changeCoeff`` and re-solved by dual simplex
-      from the previous basis — within 1e-9 of a cold solve, and each
-      cached structure keeps its live model;
-    * by default (``use_core=False``) the patched canonical CSR
-      matrices are *identical* to fresh assembly and go through the
-      same cold solve (:func:`~repro.throughput.highs.solve_cold`, a
-      fresh HiGHS model per solve), so results are byte-identical to
-      :func:`max_concurrent_throughput` — which is itself a one-shot
-      context solved with ``warm=False``.
+    * A structure's first solve is always cold, and the patched
+      canonical matrix is *identical* to fresh assembly, so with
+      ``reuse_basis=False`` every result is byte-identical to
+      :func:`max_concurrent_throughput` — itself a one-shot context
+      solved with ``warm=False`` — whatever was solved before it.
+    * With ``reuse_basis=True`` (scipy's bundled HiGHS core) a structure
+      also keeps the final basis of its last optimum, and its next solve
+      starts the dual simplex there, at the memory of a few status
+      bytes per row and column.  The objective is within 1e-9 of a
+      cold solve's; the per-arc flows may sit at another optimal vertex
+      of this degenerate LP and depend on which solve left the basis.
+      A warm solve that ends off the optimum drops the basis and
+      re-solves cold once, so callers see exactly the cold solve's
+      failure.
 
     Solves never serialize on the context: the structure LRU (a
     :class:`repro.perf.Lru`) locks only around its own dictionary
@@ -401,21 +415,27 @@ class EdgeLpContext:
 
     kind = "edge-lp"
 
+    @staticmethod
+    def kind_of(reuse_basis: bool) -> str:
+        """The ``kind`` of a context with this ``reuse_basis``."""
+        return "edge-lp-basis" if reuse_basis else EdgeLpContext.kind
+
     def __init__(
         self,
         topology: Topology,
-        use_core: bool = False,
+        reuse_basis: bool = False,
         max_structures: int = DEFAULT_MAX_STRUCTURES,
     ):
         self.topology = topology
         self.table = ArcTable.from_topology(topology)
         self.labels: Dict[int, int] = _component_labels(topology.graph)
-        self.use_core = bool(use_core)
-        if self.use_core and not highs.have_highs_core():
+        self.reuse_basis = bool(reuse_basis)
+        if self.reuse_basis and not highs.have_highs_core():
             raise ValueError(
-                "use_core=True needs scipy's bundled HiGHS core, which "
+                "reuse_basis=True needs scipy's bundled HiGHS core, which "
                 "this scipy build lacks; use the cold engine"
             )
+        self.kind = self.kind_of(self.reuse_basis)
         self.max_structures = int(max_structures)
         self._structures = Lru(self.max_structures, "lp.structures")
         # Guards the solve counters; the structure LRU locks itself.
@@ -423,6 +443,8 @@ class EdgeLpContext:
         self.models_built = 0
         self.warm_solves = 0
         self.cold_solves = 0
+        self.bases_reused = 0
+        self.results_reused = 0
 
     def solve(
         self,
@@ -436,9 +458,14 @@ class EdgeLpContext:
         Degenerate conventions and the failure taxonomy are exactly
         those of :func:`max_concurrent_throughput`.  With ``warm=False``
         the solve assembles fresh and caches nothing.  ``flags``, when
-        given, receives this solve's ``warm_started`` / ``basis_reused``
-        / ``model_built`` (left empty for degenerate TMs that never
-        reach the LP).
+        given, receives this solve's ``warm_started`` (a cached
+        structure was patched), ``result_reused`` (its coefficients were
+        unchanged, so the stored optimum, with the iterations that found
+        it, is returned unsolved), ``basis_reused`` (the result came
+        from a solve started at a stored basis) and ``models_built``
+        (HiGHS models built: 0 for a reused result, 1, or 2 when a warm
+        start was retried cold); it is left empty for degenerate TMs
+        that never reach the LP.
         """
         if tm.num_flows == 0:
             return ThroughputResult(throughput=float("inf"), per_server=1.0)
@@ -452,13 +479,12 @@ class EdgeLpContext:
         dests, demand_to = _demands_by_destination(tm)
         key = _structure_key(dests, demand_to)
         structure = self._structures.pop(key) if warm else None
-        with self._lock:
-            if structure is None:
-                self.cold_solves += 1
-                self.models_built += 1
-            else:
-                self.warm_solves += 1
         warm_started = structure is not None
+        with self._lock:
+            if warm_started:
+                self.warm_solves += 1
+            else:
+                self.cold_solves += 1
         if structure is None:
             structure = self._build_structure(dests, demand_to, key[1])
         else:
@@ -466,27 +492,32 @@ class EdgeLpContext:
                 structure,
                 np.asarray([demand_to[d][v] for d, v in key[1]], dtype=float),
             )
+        reused = structure.x is not None
         if flags is not None:
-            flags["warm_started"] = warm_started
-            flags["basis_reused"] = (
-                structure.highs is not None and structure.solved_once
+            flags.update(
+                warm_started=warm_started, result_reused=reused,
+                basis_reused=False, models_built=0,
             )
-            flags["model_built"] = not warm_started
         context = {"topology": self.topology.name, "demands": tm.num_flows}
         try:
-            if structure.highs is not None:
-                result = self._solve_core(
-                    structure, per_server_demand, dropped, context
-                )
+            if reused:
+                obs.add("lp.results_reused")
+                with self._lock:
+                    self.results_reused += 1
             else:
-                result = self._solve_cold(
-                    structure, per_server_demand, dropped, context
+                structure.x, structure.iterations = self._solve_structure(
+                    structure, context, flags
                 )
-            structure.solved_once = True
+            # Read before the structure goes back: a concurrent solve may
+            # check it out and patch it at once.
+            x, iterations = structure.x, structure.iterations
         finally:
             if warm:
                 self._structures.put(key, structure)
-        return result
+        return _exact_result(
+            self.table, x, structure.num_dests, per_server_demand,
+            dropped, iterations,
+        )
 
     # ------------------------------------------------------------------
     def _build_structure(
@@ -498,121 +529,117 @@ class EdgeLpContext:
         table = self.table
         num_dests = len(dests)
         n = table.num_nodes
-        t_var = num_dests * table.num_arcs
+        m = table.num_arcs
+        t_var = num_dests * m
         with obs.span(
             "lp.assemble", formulation="exact", demands=len(support)
         ):
             a_eq, _b_eq, a_ub = _assemble_exact_vectorized(
                 table, dests, demand_to
             )
+            matrix = sp.vstack([a_ub, a_eq], format="csc")
+        # t is the last column; its entries are the demand rows, sorted.
+        first = matrix.indptr[t_var]
+        t_rows = matrix.indices[first:matrix.indptr[t_var + 1]]
         dest_index = {d: i for i, d in enumerate(dests)}
         rows = np.empty(len(support), dtype=np.intp)
-        slots = np.empty(len(support), dtype=np.intp)
         for i, (d, v) in enumerate(support):
             dn_i = table.node_index[d]
             vi = table.node_index[v]
-            row = dest_index[d] * (n - 1) + vi - (vi > dn_i)
-            slot = a_eq.indptr[row + 1] - 1
-            # t has the largest column index, so its coefficient is the
-            # last entry of its (canonically sorted) row.
-            if a_eq.indices[slot] != t_var:  # pragma: no cover - invariant
-                raise SolverNumericalError(
-                    "incremental assembly lost a demand coefficient",
-                    formulation="exact",
-                )
-            rows[i] = row
-            slots[i] = slot
-        structure = _LpStructure(
+            rows[i] = m + dest_index[d] * (n - 1) + vi - (vi > dn_i)
+        if not np.array_equal(np.sort(rows), t_rows):  # pragma: no cover
+            raise SolverNumericalError(
+                "incremental assembly lost a demand coefficient",
+                formulation="exact",
+            )
+        slots = first + np.searchsorted(t_rows, rows)
+        return _LpStructure(
             num_dests=num_dests,
-            a_eq=a_eq,
-            a_ub=a_ub,
+            matrix=matrix,
             demand_slots=slots,
-            demand_rows=rows,
-            values=-a_eq.data[slots].copy(),
+            values=-matrix.data[slots],
         )
-        if self.use_core:
-            structure.highs = self._build_highs_model(structure)
-        return structure
 
-    def _patch_values(
-        self, structure: _LpStructure, values: np.ndarray
-    ) -> None:
-        """Mutate only the changed demand coefficients (scipy + HiGHS)."""
+    @staticmethod
+    def _patch_values(structure: _LpStructure, values: np.ndarray) -> None:
+        """Write only the changed demand coefficients; any change drops
+        the stored optimum."""
         changed = np.nonzero(values != structure.values)[0]
-        if changed.size == 0:
-            return
-        structure.a_eq.data[structure.demand_slots[changed]] = -values[changed]
-        if structure.highs is not None:
-            t_var = structure.num_dests * self.table.num_arcs
-            for i in changed:
-                structure.highs.changeCoeff(
-                    int(structure.demand_rows[i]), t_var, float(-values[i])
-                )
-        structure.values = values.copy()
+        if changed.size:
+            structure.matrix.data[structure.demand_slots[changed]] = (
+                -values[changed]
+            )
+            structure.values = values
+            structure.x = None
 
-    def _solve_cold(
+    def _solve_structure(
         self,
         structure: _LpStructure,
-        per_server_demand: float,
-        dropped: int,
         context: Dict[str, Any],
-    ) -> ThroughputResult:
-        num_vars = structure.num_dests * self.table.num_arcs + 1
-        with obs.span("lp.solve", formulation="exact", variables=num_vars):
-            x, _duals, iterations = highs.solve_cold(
-                _c_for_exact(num_vars),
-                sp.vstack([structure.a_ub, structure.a_eq], format="csc"),
+        flags: Optional[Dict[str, Any]],
+    ) -> Tuple[np.ndarray, int]:
+        """``(x, iterations)`` of one solve, warm from the stored basis
+        when there is one and cold otherwise (or after a warm failure).
+
+        The stored basis is taken before the solve, so a failed solve
+        leaves none behind.
+        """
+        basis, structure.basis = structure.basis, None
+        try:
+            solution = self._run(structure, basis, context, flags)
+        except SolverFailure:
+            if basis is None:
+                raise
+            # A warm start that ends off the optimum is retried cold, so
+            # callers see exactly the cold solve's failure.
+            obs.add("lp.warm_retries")
+            solution = self._run(structure, None, context, flags)
+        if self.reuse_basis:
+            structure.basis = solution.basis
+        if solution.warm:
+            with self._lock:
+                self.bases_reused += 1
+            if flags is not None:
+                flags["basis_reused"] = True
+        return solution.x, solution.iterations
+
+    def _run(
+        self,
+        structure: _LpStructure,
+        basis: Any,
+        context: Dict[str, Any],
+        flags: Optional[Dict[str, Any]],
+    ) -> highs.Solution:
+        matrix = structure.matrix
+        with self._lock:
+            self.models_built += 1
+        if flags is not None:
+            flags["models_built"] += 1
+        with obs.span(
+            "lp.solve", formulation="exact", variables=matrix.shape[1],
+            warm=basis is not None,
+        ):
+            return highs.solve(
+                _c_for_exact(matrix.shape[1]),
+                matrix,
                 self.table.caps,
                 formulation="exact",
                 context=context,
+                basis=basis,
             )
-        return _exact_result(
-            self.table, x, structure.num_dests, per_server_demand,
-            dropped, iterations,
-        )
-
-    # ------------------------------------------------------------------
-    # HiGHS core model: built once, mutated + re-solved from the basis
-    # ------------------------------------------------------------------
-    def _build_highs_model(self, structure: _LpStructure):
-        matrix = sp.vstack([structure.a_eq, structure.a_ub]).tocsc()
-        return highs.build_model(
-            _c_for_exact(matrix.shape[1]),
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            *highs.row_bounds(
-                self.table.caps, structure.a_eq.shape[0], eq_first=True
-            ),
-        )
-
-    def _solve_core(
-        self,
-        structure: _LpStructure,
-        per_server_demand: float,
-        dropped: int,
-        context: Dict[str, Any],
-    ) -> ThroughputResult:
-        t_var = structure.num_dests * self.table.num_arcs
-        h = structure.highs
-        with obs.span(
-            "lp.solve", formulation="exact", variables=t_var + 1,
-            warm=structure.solved_once,
-        ):
-            h.run()
-        info = h.getInfo()
-        iterations = int(getattr(info, "simplex_iteration_count", 0) or 0)
-        obs.add("lp.solver_iterations", iterations)
-        highs.raise_for_status(h, "exact", context, iterations)
-        x = np.asarray(h.getSolution().col_value, dtype=float)
-        return _exact_result(
-            self.table, x, structure.num_dests, per_server_demand,
-            dropped, iterations,
-        )
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """JSON-ready counters; never waits for an in-flight solve."""
+        """JSON-ready counters; never waits for an in-flight solve.
+
+        ``cold_solves`` / ``warm_solves`` count solves that assembled a
+        structure / patched a cached one; ``results_reused`` counts
+        patched structures whose coefficients were unchanged, answered
+        from the stored optimum without a solve; ``models_built`` counts
+        HiGHS models (one per solve, plus one per warm start retried
+        cold); ``basis_reused`` counts results that came from a stored
+        basis.
+        """
         with self._lock:
             return {
                 "kind": self.kind,
@@ -621,7 +648,11 @@ class EdgeLpContext:
                 "models_built": self.models_built,
                 "warm_solves": self.warm_solves,
                 "cold_solves": self.cold_solves,
-                "engine": highs.engine_label(self.use_core),
+                "results_reused": self.results_reused,
+                "basis_reused": self.bases_reused,
+                "engine": highs.engine_label(
+                    "basis" if self.reuse_basis else None
+                ),
             }
 
 

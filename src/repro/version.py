@@ -18,7 +18,7 @@ from __future__ import annotations
 
 __all__ = ["__version__", "SPEC_HASH_VERSION"]
 
-__version__ = "5.1.0"
+__version__ = "6.0.0"
 
 #: Spec-hash algorithm identifier: SHA-256 over the canonical JSON
 #: encoding (sorted keys, compact separators, ``name`` excluded,

@@ -163,15 +163,21 @@ def test_incremental_contexts_survive_across_requests(client):
         assert _counter("solver.warm_start.miss") == 1
         assert _counter("api.context.misses") == 1
 
-        # Different demand (scaled), same support: a warm re-solve off
-        # the model the *previous request* built.
+        # Same TM, new per-server demand (a memo miss): the structure
+        # the *previous request* left behind already holds this LP's
+        # optimum, so it answers without a solve.
         second = client.post(
             "/v1/throughput",
             {"topology": JELLYFISH, "solver": "highs-incremental",
              "fraction": 1.0, "seed": 1, "per_server_demand": 0.5},
         ).raise_for_status()
         assert second.json["warm"]["context"] == "hit"
+        assert second.json["results"][0]["warm_started"] is True
+        assert second.json["results"][0]["basis_reused"] is False
         assert _counter("api.context.hits") == 1
+        assert _counter("solver.warm_start.hit") == 1
+        assert _counter("solver.warm_start.results_reused") == 1
+        assert _counter("solver.warm_start.models_built") == 1
 
     exact = client.post(
         "/v1/throughput",
@@ -201,7 +207,6 @@ def test_context_surfaces_warm_start_counters_and_incremental_stats(client):
     assert contexts["entries"] == 1
     (ctx,) = contexts["contexts"]
     assert ctx["kind"] == "edge-lp"
-    assert ctx["models_built"] >= 1
     assert ctx["cold_solves"] >= 1
     # No live model: each solve builds a fresh core model (``linprog``
     # only where scipy lacks the core bindings).
@@ -209,8 +214,12 @@ def test_context_surfaces_warm_start_counters_and_incremental_stats(client):
         "highs-core-cold" if have_highs_core() else "linprog"
     )
     # The third request repeated fraction 0.5 → served from the result
-    # memo, so solves stay at two and both were cold (new supports).
+    # memo, so solves stay at two and both were cold (new supports):
+    # two models built, no basis reused.
     assert ctx["cold_solves"] + ctx["warm_solves"] == 2
+    assert ctx["models_built"] == 2 and warm_start["models_built"] == 2
+    assert ctx["basis_reused"] == 0 and warm_start["basis_reused"] == 0
+    assert ctx["results_reused"] == 0 and warm_start["results_reused"] == 0
 
 
 def test_incremental_cold_bypass(client):

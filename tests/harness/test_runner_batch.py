@@ -7,7 +7,7 @@ from repro.harness.execute import execute_lp_batch, execute_spec
 from repro.harness.runner import _task_main
 from repro.throughput import InfeasibleError, SolverFailure
 
-from ..lp_faults import fail_cold_solves
+from ..lp_faults import fail_solves
 
 TOPOLOGY = {
     "family": "jellyfish", "switches": 10, "degree": 4,
@@ -19,7 +19,7 @@ FRACTIONS = [1.0, 0.75, 0.5]
 def _specs(solver, prefix="p", mode=None, **extra):
     """One lp spec per fraction; ``mode`` sets the workload's
     ``solver_mode`` (``"fallback"``, also the default, pins the cold
-    path, byte-identical to ``exact``)."""
+    path, byte-identical to ``exact``; ``"core"`` reuses bases)."""
     workload = {"solver": solver}
     if mode is not None:
         workload["solver_mode"] = mode
@@ -55,6 +55,27 @@ class TestAutoBatching:
             assert a.attempts == 1
             assert a.metrics == b.metrics
             assert a.telemetry == b.telemetry
+
+    def test_repeated_support_sweep_matches_per_point_exact(self):
+        """Fraction 1.0 keys one demand support at every TM seed, so a
+        batch re-solves one structure, and here with equal coefficients.
+        On the default engine the batched records still equal per-point
+        ``exact`` records bit for bit, whatever the solve order: no
+        record depends on which point the structure served first."""
+        specs = [
+            ExperimentSpec(
+                name=f"s{seed}", engine="lp", topology=dict(TOPOLOGY),
+                workload={"solver": solver, "fraction": f}, seed=seed,
+            )
+            for solver in ("highs-batched", "exact")
+            for seed, f in ((1, 1.0), (2, 0.5), (3, 1.0), (4, 1.0))
+        ]
+        batched = execute_lp_batch(specs[:4])
+        reversed_batch = execute_lp_batch(specs[3::-1])[::-1]
+        per_point = [execute_spec(s) for s in specs[4:]]
+        for a, r, b in zip(batched, reversed_batch, per_point):
+            assert a.status == r.status == b.status == "ok"
+            assert a.metrics == r.metrics == b.metrics
 
     def test_solver_mode_reaches_the_warm_backend_under_both_names(self):
         from repro import registry
@@ -174,7 +195,7 @@ class TestAutoBatching:
 
 class TestBatchFailureIsolation:
     def test_infeasible_point_becomes_failure_record(self, monkeypatch):
-        fail_cold_solves(monkeypatch, _FakeRes(2, message="infeasible"))
+        fail_solves(monkeypatch, _FakeRes(2, message="infeasible"))
         records = execute_lp_batch(_specs("highs-batched", mode="fallback"))
         assert all(r.status == "failed" for r in records)
         assert all(r.error.startswith("InfeasibleError:") for r in records)

@@ -21,7 +21,7 @@ from repro.throughput import (
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
 
-from ..lp_faults import fail_cold_solves
+from ..lp_faults import fail_solves
 
 
 class _FakeRes:
@@ -104,7 +104,7 @@ class TestOutcomeClassification:
         ],
     )
     def test_highs_statuses(self, small, monkeypatch, status, cls, terminal):
-        fail_cold_solves(
+        fail_solves(
             monkeypatch, _FakeRes(status, message="solver said no")
         )
         topo, tm = small
@@ -119,7 +119,7 @@ class TestOutcomeClassification:
             outcome.raise_for_status()
 
     def test_success_without_solution_vector(self, small, monkeypatch):
-        fail_cold_solves(monkeypatch, _FakeRes(0, success=True, x=None))
+        fail_solves(monkeypatch, _FakeRes(0, success=True, x=None))
         topo, tm = small
         outcome = HighsExactBackend().solve(topo, tm)
         assert outcome.status is SolveStatus.NUMERICAL
@@ -140,7 +140,7 @@ class TestOutcomeClassification:
         def boom(*a, **k):
             raise KeyError("formulation bug")
 
-        monkeypatch.setattr(highs, "solve_cold", boom)
+        monkeypatch.setattr(highs, "solve", boom)
         topo, tm = small
         with pytest.raises(KeyError):
             HighsExactBackend().solve(topo, tm)

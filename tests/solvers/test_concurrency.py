@@ -6,6 +6,7 @@ a structure is checked out for the duration of its solve.  Per-solve
 flags travel with each solve, never through shared context state.
 """
 
+import sys
 import threading
 
 import pytest
@@ -46,13 +47,13 @@ def test_two_solves_on_one_context_run_concurrently(topo, monkeypatch):
     backend.solve_in(context, base)  # cache the support's structure
 
     barrier = threading.Barrier(2, timeout=5)
-    real = highs.solve_cold
+    real = highs.solve
 
     def meeting_solve(*args, **kwargs):
         barrier.wait()
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(highs, "solve_cold", meeting_solve)
+    monkeypatch.setattr(highs, "solve", meeting_solve)
     tms = [base.scaled(0.5), base.scaled(2.0)]  # same demand support
     outcomes = [None, None]
 
@@ -67,7 +68,7 @@ def test_two_solves_on_one_context_run_concurrently(topo, monkeypatch):
     for t in threads:
         t.join(timeout=20)
     assert not errors, errors
-    monkeypatch.setattr(highs, "solve_cold", real)
+    monkeypatch.setattr(highs, "solve", real)
     for tm, outcome in zip(tms, outcomes):
         assert outcome.ok
         assert outcome.result == max_concurrent_throughput(topo, tm)
@@ -84,7 +85,7 @@ def test_flags_belong_to_their_own_solve(topo, monkeypatch):
     backend.solve_in(context, base)
 
     entered, release = threading.Event(), threading.Event()
-    real = highs.solve_cold
+    real = highs.solve
 
     def pausing_solve(*args, **kwargs):
         if threading.current_thread().name == "paused":
@@ -92,7 +93,7 @@ def test_flags_belong_to_their_own_solve(topo, monkeypatch):
             assert release.wait(timeout=5)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(highs, "solve_cold", pausing_solve)
+    monkeypatch.setattr(highs, "solve", pausing_solve)
     outcomes = {}
     other = longest_matching_tm(topo, 0.5, seed=2)
     threads, errors = _run_threads(
@@ -122,5 +123,52 @@ def test_flags_belong_to_their_own_solve(topo, monkeypatch):
 def test_context_is_the_one_shot_exact_path(topo):
     """``max_concurrent_throughput`` is a one-shot scipy context solve."""
     tm = longest_matching_tm(topo, 0.75, seed=4)
-    one_shot = EdgeLpContext(topo, use_core=False).solve(tm, warm=False)
+    one_shot = EdgeLpContext(topo, reuse_basis=False).solve(tm, warm=False)
     assert one_shot == max_concurrent_throughput(topo, tm)
+
+
+def test_concurrent_basis_reuse_keeps_results_and_counts(topo):
+    """More solving threads than cores on one basis-reusing context
+    (``mode=auto``: cold where scipy lacks the core): every result
+    stays within 1e-9 of ``highs-exact`` and no counter update is
+    lost."""
+    backend = HighsIncrementalBackend(mode="auto")
+    context = backend.new_context(topo)
+    base = longest_matching_tm(topo, 1.0, seed=1)
+    tms = [base.scaled(s) for s in (0.5, 0.8, 1.0, 1.4)]
+    exact = [max_concurrent_throughput(topo, tm).throughput for tm in tms]
+    threads_n, rounds = 4, 6
+    outcomes = []
+    lock = threading.Lock()
+
+    def work(i):
+        for j in range(rounds):
+            k = (i + j) % len(tms)
+            outcome = backend.solve_in(context, tms[k])
+            with lock:
+                outcomes.append((k, outcome))
+
+    threads, errors = _run_threads(
+        [(f"solve-{i}", lambda i=i: work(i)) for i in range(threads_n)]
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(outcomes) == threads_n * rounds
+    for k, outcome in outcomes:
+        assert outcome.ok
+        assert abs(outcome.result.throughput - exact[k]) <= 1e-9
+    stats = context.stats()
+    assert stats["warm_solves"] + stats["cold_solves"] == len(outcomes)
+    # Each solve built one model unless its structure already held the
+    # optimum of its coefficients.
+    assert stats["models_built"] + stats["results_reused"] == len(outcomes)
+    assert stats["basis_reused"] == sum(o.basis_reused for _, o in outcomes)

@@ -3,12 +3,15 @@
 The property test: across ≥50 random jellyfish/xpander instances and
 multi-point load grids, warm-started objective values must match
 ``highs-exact`` within 1e-9 on both engines — the default cold
-fallback (in fact byte-identical: it patches cached canonical CSR
-matrices into exactly what fresh assembly would build) and basis reuse
-on scipy's bundled HiGHS core (``mode=core``).  Plus the forced-refactorization contract: any
-topology change mid-batch — including a capacity-only change the
-structural content hash ignores — must rebuild the model, never reuse a
-stale basis.
+``fallback`` (in fact byte-identical: it patches cached canonical
+matrices into exactly what fresh assembly would build, and answers
+unchanged coefficients from the stored optimum) and basis reuse on
+scipy's bundled HiGHS core (``mode=core``), whose first solve per
+structure is byte-identical too.  A warm start that fails is retried
+cold, so callers only ever see ``highs-exact``'s failures.  Plus the
+forced-refactorization contract: any topology change mid-batch —
+including a capacity-only change the structural content hash ignores —
+must rebuild the structure, never reuse a stale basis.
 """
 
 import random
@@ -19,6 +22,7 @@ from repro import registry
 from repro.perf import topology_content_hash
 from repro.solvers import (
     HighsColgenBackend,
+    HighsExactBackend,
     HighsIncrementalBackend,
     have_highs_core,
     reset_warm_start_stats,
@@ -27,7 +31,9 @@ from repro.solvers import (
 from repro.throughput import EdgeLpContext, max_concurrent_throughput, skew_sweep
 from repro.throughput import highs
 from repro.topologies import jellyfish, xpander
-from repro.traffic import longest_matching_tm
+from repro.traffic import TrafficMatrix, longest_matching_tm
+
+from ..lp_faults import fail_solves, fail_warm_solves
 
 LOAD_GRID = (0.5, 0.8, 1.0, 1.4)
 
@@ -206,14 +212,22 @@ def test_warm_start_counters_and_context_stats():
     assert stats["miss"] == 1
     assert stats["hit"] == 2
     assert stats["context_miss"] == 1
-    assert stats["models_built"] == 1
+    # No live model: every solve builds (and drops) one HiGHS model.
+    assert stats["models_built"] == 3
+    assert stats["basis_reused"] == 0
+    assert stats["results_reused"] == 0
     ctx = backend.context_stats()
     assert ctx["cold_solves"] == 1
     assert ctx["warm_solves"] == 2
+    assert ctx["models_built"] == 3
+    assert ctx["basis_reused"] == 0
     assert ctx["structures"] == 1
-    # A second solve_many on the same topology reuses the live context.
-    backend.solve_many(topo, [base])
+    # A second solve_many on the same topology reuses the live context;
+    # its unchanged coefficients are answered without a model.
+    backend.solve_many(topo, [base.scaled(1.5)])
     assert warm_start_stats()["context_hit"] == 1
+    assert warm_start_stats()["results_reused"] == 1
+    assert backend.context_stats()["models_built"] == 3
 
 
 def test_degenerate_conventions_match_backend_contract():
@@ -258,7 +272,21 @@ def test_mode_validation(monkeypatch):
             with pytest.raises(ValueError, match="bundled HiGHS core"):
                 cls(mode=mode)
     with pytest.raises(ValueError, match="bundled HiGHS core"):
-        EdgeLpContext(jellyfish(8, 3, 1, seed=0), use_core=True)
+        EdgeLpContext(jellyfish(8, 3, 1, seed=0), reuse_basis=True)
+
+
+def test_context_kind_says_whether_bases_are_reused():
+    """Callers that cache contexts by ``context_kind`` (the API) share a
+    cold context between ``highs-exact`` and the default engine, and
+    never hand a basis-reusing one to either."""
+    topo = jellyfish(8, 3, 1, seed=0)
+    cold = HighsIncrementalBackend()
+    assert cold.context_kind == HighsExactBackend.context_kind == "edge-lp"
+    assert cold.new_context(topo).stats()["kind"] == "edge-lp"
+    if have_highs_core():
+        core = HighsIncrementalBackend(mode="core")
+        assert core.context_kind == "edge-lp-basis"
+        assert core.new_context(topo).stats()["kind"] == "edge-lp-basis"
 
 
 def test_registry_exposes_incremental():
@@ -317,5 +345,181 @@ def test_core_basis_reuse_flags_and_equivalence():
         assert abs(outcome.result.per_server - exact.per_server) <= 1e-9
     assert sum(o.iterations for o in outcomes[1:]) < 3 * outcomes[0].iterations
     ctx = backend.context_stats()
-    assert ctx["engine"] == "highs-core"
-    assert ctx["models_built"] == 1 and ctx["warm_solves"] == 3
+    assert ctx["engine"] == "highs-core-basis"
+    assert ctx["warm_solves"] == 3 and ctx["basis_reused"] == 3
+    # One fresh model per solve, none kept alive between them.
+    assert ctx["models_built"] == 4
+
+
+# ----------------------------------------------------------------------
+# Stored optima; mode=core: basis reuse, cold first solves, cold retries
+# ----------------------------------------------------------------------
+def _recording_x(monkeypatch):
+    """Record ``x.tobytes()`` of every :func:`highs.solve`, and whether
+    it started from a basis, as ``(warm, bytes)`` pairs."""
+    real = highs.solve
+    calls = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((out.warm, out.x.tobytes()))
+        return out
+
+    monkeypatch.setattr(highs, "solve", recording)
+    return calls
+
+
+def _uneven(tm, seed):
+    """``tm`` with each demand scaled by its own factor in [0.5, 2):
+    same support, different demand ratios."""
+    rng = random.Random(seed)
+    return TrafficMatrix(
+        {pair: val * rng.uniform(0.5, 2.0) for pair, val in tm.demands.items()}
+    )
+
+
+@pytest.mark.parametrize("mode", ["fallback", "core"])
+def test_unchanged_coefficients_return_the_stored_optimum(monkeypatch, mode):
+    """A TM whose coefficients equal the structure's last solve is
+    answered from the stored optimum: no model is built, and on the
+    default engine the result (iterations included) is ``highs-exact``'s
+    byte for byte, whatever the context solved in between."""
+    if mode == "core" and not have_highs_core():
+        pytest.skip("mode=core needs scipy's bundled HiGHS core")
+    topo = jellyfish(12, 4, 2, seed=3)
+    base = longest_matching_tm(topo, 1.0, seed=1)
+    other = longest_matching_tm(topo, 0.5, seed=2)
+    backend = HighsIncrementalBackend(mode=mode)
+    context = backend.new_context(topo)
+    first = backend.solve_in(context, base)
+    backend.solve_in(context, other)  # another structure in between
+    calls = _recording_x(monkeypatch)
+    again = backend.solve_in(context, base.scaled(1.0))
+    assert calls == []
+    assert again.warm_started and not again.basis_reused
+    assert again.result == first.result
+    assert again.iterations == first.iterations
+    stats = context.stats()
+    assert stats["results_reused"] == 1 and stats["models_built"] == 2
+    # A changed coefficient drops the stored optimum and solves again.
+    backend.solve_in(context, base.scaled(2.0))
+    assert len(calls) == 1
+    if mode == "fallback":
+        monkeypatch.undo()
+        assert again.result == max_concurrent_throughput(topo, base)
+        assert again.iterations == max_concurrent_throughput(topo, base).iterations
+
+
+@needs_core
+@pytest.mark.parametrize("build", INSTANCES)
+def test_core_reuses_basis_on_uneven_rescale(monkeypatch, build):
+    """``mode=core``: a structure's first solve is ``highs-exact`` byte
+    for byte, and a re-solve of unevenly rescaled demands starts from
+    the stored basis and lands within 1e-9 of ``highs-exact``."""
+    topo = build()
+    base = longest_matching_tm(topo, 1.0, seed=1)
+    tms = [base, _uneven(base, 1), _uneven(base, 2)]
+    calls = _recording_x(monkeypatch)
+    outcomes = HighsIncrementalBackend(mode="core").solve_many(topo, tms)
+    solved = list(calls)
+    exact_first = max_concurrent_throughput(topo, base)
+    assert calls[-1] == solved[0]  # both cold, equal x bytes
+    assert [warm for warm, _ in solved] == [False, True, True]
+    assert [o.warm_started for o in outcomes] == [False, True, True]
+    assert [o.basis_reused for o in outcomes] == [False, True, True]
+    assert outcomes[0].result == exact_first
+    for tm, outcome in zip(tms[1:], outcomes[1:]):
+        exact = max_concurrent_throughput(topo, tm)
+        assert abs(outcome.result.throughput - exact.throughput) <= 1e-9
+        assert abs(outcome.result.per_server - exact.per_server) <= 1e-9
+
+
+class _FakeRes:
+    def __init__(self, status, message="injected"):
+        self.status = status
+        self.success = False
+        self.x = None
+        self.message = message
+        self.nit = 3
+
+
+@needs_core
+def test_failed_warm_start_is_retried_cold(monkeypatch):
+    """``mode=core``: a warm solve that fails recomputes cold: the
+    caller gets ``highs-exact``'s result, bit for bit, and no
+    basis-reuse flag."""
+    topo = jellyfish(12, 4, 2, seed=3)
+    base = longest_matching_tm(topo, 1.0, seed=1)
+    backend = HighsIncrementalBackend(mode="core")
+    backend.solve_many(topo, [base])
+    calls = fail_warm_solves(monkeypatch, _FakeRes(4))
+    tm = _uneven(base, 7)
+    (outcome,) = backend.solve_many(topo, [tm])
+    assert calls == [True, False]
+    assert outcome.ok and outcome.warm_started and not outcome.basis_reused
+    monkeypatch.undo()
+    assert outcome.result == max_concurrent_throughput(topo, tm)
+    assert backend.context_stats()["models_built"] == 3
+
+
+@needs_core
+@pytest.mark.parametrize("status", [1, 2, 3, 4])
+def test_failed_cold_retry_raises_as_exact_and_keeps_no_basis(
+    monkeypatch, status
+):
+    """``mode=core``: when the cold retry fails too, the caller sees
+    ``highs-exact``'s
+    failure class and ``status_code``; the failed solve stores no
+    basis, so the next solve on the structure is cold again."""
+    topo = jellyfish(12, 4, 2, seed=3)
+    base = longest_matching_tm(topo, 1.0, seed=1)
+    backend = HighsIncrementalBackend(mode="core")
+    backend.solve_many(topo, [base])
+    with monkeypatch.context() as patch:
+        fail_solves(patch, _FakeRes(status))
+        (failed,) = backend.solve_many(topo, [base.scaled(0.5)])
+        exact = registry.solver("highs-exact").solve(topo, base.scaled(0.5))
+    assert not failed.ok and not exact.ok
+    assert type(failed.error) is type(exact.error)
+    assert failed.error.status_code == exact.error.status_code == status
+    assert failed.status is exact.status
+    assert failed.warm_started and not failed.basis_reused
+
+    calls = _recording_x(monkeypatch)
+    after = backend.solve_many(topo, [base, base.scaled(2.0)])
+    assert [warm for warm, _ in calls] == [False, True]
+    assert [o.basis_reused for o in after] == [False, True]
+    assert after[0].result == max_concurrent_throughput(topo, base)
+
+
+@needs_core
+def test_rejected_basis_solves_cold(monkeypatch):
+    """A stored basis HiGHS rejects (here: one of another structure's
+    shape) is dropped: the solve runs cold, returns ``highs-exact``'s
+    bytes and counts no basis reuse."""
+    topo = jellyfish(12, 4, 2, seed=3)
+    base = longest_matching_tm(topo, 1.0, seed=1)
+    other = longest_matching_tm(topo, 0.5, seed=2)
+    backend = HighsIncrementalBackend(mode="core")
+    context = backend.new_context(topo)
+    backend.solve_in(context, other)
+    backend.solve_in(context, base)
+    # Least recent first: the basis of ``other``'s structure.
+    foreign = context._structures.values()[0].basis
+    assert foreign is not None
+    real = highs.solve
+    seen = []
+
+    def mismatched(*args, basis=None, **kwargs):
+        out = real(*args, basis=foreign if basis is not None else None, **kwargs)
+        seen.append((basis is not None, out.warm))
+        return out
+
+    monkeypatch.setattr(highs, "solve", mismatched)
+    tm = _uneven(base, 3)
+    outcome = backend.solve_in(context, tm)
+    monkeypatch.undo()
+    assert seen == [(True, False)]
+    assert outcome.ok and outcome.warm_started and not outcome.basis_reused
+    assert outcome.result == max_concurrent_throughput(topo, tm)
+    assert context.stats()["basis_reused"] == 0

@@ -13,7 +13,7 @@ from repro import obs
 from repro.cli import main
 from repro.obs import load_manifest
 
-from .lp_faults import fail_cold_solves
+from .lp_faults import fail_solves
 
 
 @pytest.fixture(autouse=True)
@@ -100,7 +100,7 @@ class TestExitCodes:
         class _Fake:
             status, success, x, message, nit = 2, False, None, "infeasible", 3
 
-        fail_cold_solves(monkeypatch, _Fake())
+        fail_solves(monkeypatch, _Fake())
         rc = main(["throughput", "jellyfish", "--switches", "8", "--degree",
                    "4", "--servers", "2", "--fractions", "1.0"])
         captured = capsys.readouterr()

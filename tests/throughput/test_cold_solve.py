@@ -1,7 +1,8 @@
 """One cold LP solve, byte-identical to ``scipy.optimize.linprog``.
 
-:func:`repro.throughput.highs.solve_cold` builds a fresh model on
-scipy's bundled HiGHS core in ``linprog``'s row layout and options.
+:func:`repro.throughput.highs.solve` without a starting basis builds a
+fresh model on scipy's bundled HiGHS core in ``linprog``'s row layout
+and options.
 ``linprog`` is its oracle: on every LP the library solves cold — the
 50-instance edge-LP grid of ``test_incremental`` and the path-LP
 masters, priced and unpriced — the core branch must return the same
@@ -41,16 +42,16 @@ def _recorded(monkeypatch, solve):
     """Run ``solve()``; return every cold LP it handed to HiGHS, each
     as ``(cost, matrix, caps, (x, row_dual, iterations))``."""
     calls = []
-    real = highs.solve_cold
+    real = highs.solve
 
     def recording(cost, matrix, caps, **kwargs):
         out = real(cost, matrix, caps, **kwargs)
-        calls.append((cost, matrix, caps, out))
+        calls.append((cost, matrix, caps, out[:3]))
         return out
 
-    monkeypatch.setattr(highs, "solve_cold", recording)
+    monkeypatch.setattr(highs, "solve", recording)
     solve()
-    monkeypatch.setattr(highs, "solve_cold", real)
+    monkeypatch.setattr(highs, "solve", real)
     assert calls
     return calls
 
@@ -63,7 +64,7 @@ def _without_core(monkeypatch):
 
 def _assert_matches_linprog(monkeypatch, lps):
     """Each recorded core solve against the no-core branch of
-    :func:`highs.solve_cold` on the same LP, and against the raw
+    :func:`highs.solve` on the same LP, and against the raw
     ``linprog`` result that branch received."""
     oracle = []
 
@@ -75,7 +76,7 @@ def _assert_matches_linprog(monkeypatch, lps):
         _without_core(patch)
         patch.setattr(highs, "linprog", recording_linprog)
         fallback = [
-            highs.solve_cold(cost, matrix, caps, formulation="t")
+            highs.solve(cost, matrix, caps, formulation="t")[:3]
             for cost, matrix, caps, _ in lps
         ]
     assert len(oracle) == len(lps)
@@ -161,7 +162,7 @@ def _raised(monkeypatch, lp, with_core):
         if not with_core:
             _without_core(patch)
         with pytest.raises(Exception) as info:
-            highs.solve_cold(
+            highs.solve(
                 *lp, formulation="exact", context={"topology": "tiny"}
             )
     return info.value

@@ -4,9 +4,11 @@ Before the taxonomy, any HiGHS failure surfaced as ``RuntimeError(res.message)``
 and a "successful" result without a solution vector crashed on
 ``res.x[t_var]``.  These tests pin the mapping, the carried context, and
 backward compatibility (every class is still a ``RuntimeError``) — for
-``linprog``-shaped results (what every cold solve raises through) and
-for the model statuses of the two warm engines
-on scipy's bundled HiGHS core, which share one map.
+``linprog``-shaped results (what every one-shot solve raises through)
+and for the model statuses of the two warm engines on scipy's bundled
+HiGHS core: colgen's live model maps them through the shared table, and
+the warm edge LP, whose failed warm start is retried cold, raises what
+``highs-exact`` raises.
 """
 
 import pytest
@@ -26,7 +28,7 @@ from repro.throughput.errors import raise_for_linprog
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
 
-from ..lp_faults import fail_cold_solves
+from ..lp_faults import fail_solves
 
 
 class _FakeRes:
@@ -101,7 +103,7 @@ class TestRaiseForLinprog:
 class TestEntryPointsRaiseTyped:
     def test_exact_formulation(self, instance, monkeypatch):
         topo, tm = instance
-        fail_cold_solves(monkeypatch, _FakeRes(2))
+        fail_solves(monkeypatch, _FakeRes(2))
         with pytest.raises(InfeasibleError) as info:
             max_concurrent_throughput(topo, tm)
         assert info.value.formulation == "exact"
@@ -110,7 +112,7 @@ class TestEntryPointsRaiseTyped:
 
     def test_paths_formulation(self, instance, monkeypatch):
         topo, tm = instance
-        fail_cold_solves(monkeypatch, _FakeRes(3))
+        fail_solves(monkeypatch, _FakeRes(3))
         with pytest.raises(UnboundedError) as info:
             path_throughput(topo, tm, k=4)
         assert info.value.formulation == "paths"
@@ -118,7 +120,7 @@ class TestEntryPointsRaiseTyped:
 
     def test_legacy_except_runtimeerror_still_works(self, instance, monkeypatch):
         topo, tm = instance
-        fail_cold_solves(monkeypatch, _FakeRes(4))
+        fail_solves(monkeypatch, _FakeRes(4))
         try:
             max_concurrent_throughput(topo, tm)
         except RuntimeError as exc:
@@ -131,8 +133,12 @@ class TestEntryPointsRaiseTyped:
     not highs.have_highs_core(), reason="needs scipy's bundled HiGHS core"
 )
 class TestCoreModelStatus:
-    """Both core engines classify a HiGHS model status the same way and
-    report the simplex/IPM work spent before the failure."""
+    """Both warm core engines classify a HiGHS model status and report
+    the simplex/IPM work spent before the failure.  The warm edge LP
+    first solves for real, so the stubbed status fails its warm start
+    from the stored basis on rescaled demands; the cold retry then
+    fails too, and the caller sees ``highs-exact``'s class and
+    ``status_code``."""
 
     @pytest.mark.parametrize(
         "status_name,cls,terminal",
@@ -163,9 +169,23 @@ class TestCoreModelStatus:
             def getModelStatus(self):
                 return status
 
-        monkeypatch.setattr(core, "_Highs", StubbedHighs)
         topo, tm = instance
-        outcome = registry.solver(solver).solve(topo, tm)
+        backend = registry.solver(solver)
+        if formulation == "exact":
+            assert backend.solve(topo, tm).ok  # stores a basis
+            # New coefficients, so the next solve is not answered from
+            # the stored optimum.
+            tm = tm.scaled(0.5)
+        monkeypatch.setattr(core, "_Highs", StubbedHighs)
+        outcome = backend.solve(topo, tm)
+        if formulation == "exact":
+            assert outcome.warm_started and not outcome.basis_reused
+            exact = registry.solver("highs-exact").solve(topo, tm)
+            cls, terminal = type(exact.error), exact.status
+            assert outcome.error.status_code == exact.error.status_code
+            assert outcome.message == exact.message
+        else:
+            assert "HiGHS reported" in outcome.message
         assert outcome.status is terminal
         assert type(outcome.error) is cls
         assert outcome.error.formulation == formulation
@@ -173,4 +193,3 @@ class TestCoreModelStatus:
         # The model really solved before its status was read.
         assert outcome.error.iterations > 0
         assert outcome.iterations == outcome.error.iterations
-        assert "HiGHS reported" in outcome.message
