@@ -10,3 +10,5 @@ import sys
 import os
 
 sys.path.insert(0, os.path.dirname(__file__))
+# The repository root, for the test-only references under ``tests/``.
+sys.path.insert(1, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

@@ -19,6 +19,10 @@ Kernels covered (ISSUE acceptance: >= 3x on at least two):
 * Fair-share churn at the size the flow simulator serves (~11 active
   flows over ~100 arcs) — the reference on each snapshot vs.
   :class:`~repro.flowsim.FairShareState` add/remove + ``rates()``.
+* Colgen's pool sweep on the ``fluid_curve`` jellyfish-32 TMs — the
+  per-demand numpy decode kept in ``tests/solvers/colgen_reference.py``
+  vs. the pricer's ``pred.item`` decode; the pools and final lengths
+  must be byte-identical.
 The DES event loop has no kernel here: ``Engine`` keeps a single loop,
 so there is nothing to time it against.  Its semantics are pinned by
 ``tests/sim/test_engine_determinism.py`` and its end-to-end cost is the
@@ -27,7 +31,12 @@ so there is nothing to time it against.  Its semantics are pinned by
 Each kernel carries a ``gate``: the minimum speedup the CI perf-guard
 accepts from the *committed* ``BENCH_perf.json`` (3.0 for the headline
 kernels; 1.0 for micro-opts like the small fair-share churn whose win is
-real but interpreter-bound).
+real but interpreter-bound).  Kernels whose speedup sits near their gate
+(``ksp_enumeration``, ``colgen_pool_sweep``) alternate their two arms
+over repeats and record the median per-repeat ratio
+(``bench_out.interleaved``); the rest record best-of-N times.  The
+results are merged into the file (``bench_out.merge_bench_json``), so
+the LP suites' entries survive a run of this suite alone.
 
 Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke); its output goes
 to ``bench_out.bench_path``, outside the repository.
@@ -39,7 +48,8 @@ import random
 import time
 
 
-from bench_out import QUICK, bench_path
+from bench_out import QUICK, interleaved, merge_bench_json
+from repro import registry
 from repro.flowsim.fairshare import (
     FairShareState,
     _max_min_allocation_reference,
@@ -47,6 +57,7 @@ from repro.flowsim.fairshare import (
 )
 from repro.perf import PathCache
 from repro.throughput.arcs import ArcTable
+from repro.throughput.colgen import _mwu_sweep, _Pool, _Pricer
 from repro.throughput.lp import (
     _assemble_exact_reference,
     _assemble_exact_vectorized,
@@ -54,11 +65,13 @@ from repro.throughput.lp import (
 )
 from repro.throughput.paths import ecmp_next_hops, k_shortest_paths
 from repro.topologies import jellyfish
-from repro.traffic import permutation_tm
-
-BENCH_PATH = bench_path("BENCH_perf.json")
+from repro.traffic import longest_matching_tm, permutation_tm
+from tests.solvers.colgen_reference import reference_sweep
 
 _RESULTS: dict = {}
+
+#: Alternating (reference, accelerated) repeats of the interleaved kernels.
+REPEATS = 3 if QUICK else 9
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -72,9 +85,16 @@ def _time(fn, repeats: int = 3) -> float:
 
 
 def _record(
-    kernel: str, ref_s: float, acc_s: float, params: dict, gate: float = 3.0
+    kernel: str,
+    ref_s: float,
+    acc_s: float,
+    params: dict,
+    gate: float = 3.0,
+    speedup: float | None = None,
 ) -> float:
-    speedup = ref_s / acc_s if acc_s > 0 else float("inf")
+    """Record one kernel; ``speedup`` defaults to ``ref_s / acc_s``."""
+    if speedup is None:
+        speedup = ref_s / acc_s if acc_s > 0 else float("inf")
     _RESULTS[kernel] = {
         "reference_s": ref_s,
         "accelerated_s": acc_s,
@@ -163,11 +183,11 @@ def test_ksp_enumeration_across_demands():
 
     assert reference() == accelerated()
 
-    speedup = _record(
-        "ksp_enumeration",
-        _time(reference, repeats=2),
-        _time(accelerated, repeats=2),
-        {"pairs": len(pairs), "passes": passes, "k": k},
+    ref_s, acc_s, speedup, _, _ = interleaved(reference, accelerated, REPEATS)
+    _record(
+        "ksp_enumeration", ref_s, acc_s,
+        {"pairs": len(pairs), "passes": passes, "k": k, "repeats": REPEATS},
+        speedup=speedup,
     )
     assert speedup > 1.0
 
@@ -263,24 +283,61 @@ def test_fairshare_state_small():
     assert speedup > 1.0, _RESULTS["fairshare_state_small"]
 
 
+def test_colgen_pool_sweep():
+    """Colgen's Garg–Könemann pool sweep at ``fluid_curve``'s colgen
+    point: jellyfish-32 at its three server fractions, each swept for
+    the phases ``colgen_solve`` runs cold.  The reference decodes each
+    demand's tree with numpy scalar reads through a dense arc table and
+    builds one array per path; the pricer reads Python ints with
+    ``pred.item`` through an O(m) arc lookup and flattens each phase
+    once.  Pools, pool order and final lengths are equal."""
+    switches = 20 if QUICK else 32
+    topo = registry.topology(
+        f"jellyfish:switches={switches},degree=5,servers=3,seed=1"
+    )
+    table = ArcTable.from_topology(topo)
+    demand_sets = [
+        longest_matching_tm(topo, fraction, seed=1).items()
+        for fraction in (0.3, 0.6, 1.0)
+    ]
+
+    def sweep(fn):
+        out = []
+        for demands in demand_sets:
+            pricer = _Pricer(table, demands)
+            pool = _Pool(len(demands))
+            phases = max(64, min(384, len(demands)))
+            lengths = fn(pricer, pool, table.caps, phases)
+            out.append((pool.cols, pool.owners, lengths.tobytes()))
+        return out
+
+    def reference():
+        return sweep(reference_sweep)
+
+    def accelerated():
+        return sweep(_mwu_sweep)
+
+    assert reference() == accelerated()
+
+    ref_s, acc_s, speedup, _, _ = interleaved(reference, accelerated, REPEATS)
+    _record(
+        "colgen_pool_sweep", ref_s, acc_s,
+        {
+            "switches": switches,
+            "demand_sets": len(demand_sets),
+            "demands": [len(d) for d in demand_sets],
+            "repeats": REPEATS,
+        },
+        gate=1.0,
+        speedup=speedup,
+    )
+    assert speedup > 1.0, _RESULTS["colgen_pool_sweep"]
+
+
 def test_zzz_write_bench_json():
-    """Aggregate the kernel timings into BENCH_perf.json (runs last)."""
+    """Merge the kernel timings into BENCH_perf.json (runs last)."""
     assert _RESULTS, "kernel benches did not run"
-    from repro.version import SPEC_HASH_VERSION, __version__
-
-    payload = {
-        "suite": "perf-kernels",
-        "quick": QUICK,
-        "library_version": __version__,
-        "spec_hash_version": SPEC_HASH_VERSION,
-        "kernels": _RESULTS,
-        "speedups_ge_3x": sorted(
-            k for k, v in _RESULTS.items() if v["speedup"] >= 3.0
-        ),
-    }
-    from repro.ioutils import atomic_write_json
-
-    atomic_write_json(BENCH_PATH, payload, sort_keys=True)
+    payload = merge_bench_json("BENCH_perf.json", _RESULTS)
     if not QUICK:
         # Acceptance: >= 3x on at least two kernels at full scale.
         assert len(payload["speedups_ge_3x"]) >= 2, payload

@@ -9,10 +9,10 @@ byte-identical — so all of the speedup is orchestration overhead
 removed.
 
 Records ``lp_batched_sweep`` into ``BENCH_perf.json`` next to the kernel
-benches (read-modify-write: the kernels' writer runs first in this
-directory).  Acceptance (full mode): >= 3x.  The two arms alternate
-within one loop, so a slow stretch of a shared host lands on both
-rather than on whichever arm happened to run during it.
+benches (merged with the other suites' entries by
+``bench_out.merge_bench_json``).  Acceptance (full mode): >= 3x.  The
+two arms alternate within one loop, so a slow stretch of a shared host
+lands on both rather than on whichever arm happened to run during it.
 
 Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke) — the quick
 assertion is loose because a multicore box parallelizes the per-point
@@ -22,14 +22,10 @@ Quick output goes to ``bench_out.bench_path``, outside the repository.
 
 from __future__ import annotations
 
-import json
 import time
 
-from bench_out import QUICK, bench_path
+from bench_out import QUICK, merge_bench_json
 from repro.harness import ExperimentSpec, Runner
-from repro.version import __version__
-
-BENCH_PATH = bench_path("BENCH_perf.json")
 
 TOPOLOGY = {
     "family": "jellyfish", "switches": 12, "degree": 4,
@@ -91,7 +87,6 @@ def test_batched_sweep_speedup():
         "accelerated_s": batch_s,
         "speedup": round(speedup, 2),
         "gate": 3.0,
-        "library_version": __version__,
         "params": {**TOPOLOGY, "points": NUM_POINTS},
     }
     if QUICK:
@@ -103,18 +98,6 @@ def test_batched_sweep_speedup():
 def test_zzz_update_bench_json():
     """Merge this suite's result into BENCH_perf.json (runs last)."""
     assert _RESULTS, "batched-sweep bench did not run"
-    path = BENCH_PATH
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except (OSError, ValueError):
-        payload = {"suite": "perf-kernels", "quick": QUICK, "kernels": {}}
-    payload["kernels"].update(_RESULTS)
-    payload["speedups_ge_3x"] = sorted(
-        k for k, v in payload["kernels"].items() if v["speedup"] >= 3.0
-    )
-    from repro.ioutils import atomic_write_json
-
-    atomic_write_json(path, payload, sort_keys=True)
+    payload = merge_bench_json("BENCH_perf.json", _RESULTS)
     if not QUICK:
         assert "lp_batched_sweep" in payload["speedups_ge_3x"], payload

@@ -8,8 +8,8 @@ one self-contained ``max_concurrent_throughput`` per point (fresh
 ArcTable, fresh assembly, cold simplex).
 
 Both engines are measured in one run, each into its own
-``BENCH_perf.json`` entry (read-modify-write after the kernel writer,
-like ``test_solver_batched.py``) together with an equivalence check
+``BENCH_perf.json`` entry (merged with the other suites' entries by
+``bench_out.merge_bench_json``) together with an equivalence check
 against ``highs-exact``:
 
 * ``lp_warm_sweep`` — ``mode=fallback``: structure/assembly reuse only
@@ -19,10 +19,10 @@ against ``highs-exact``:
   scipy's bundled HiGHS core, within 1e-9 of ``highs-exact`` and gated
   at >= 3x on the 14-point sweep.
 
-The two arms alternate repeat by repeat, so a slow stretch of a shared
-host lands on both, and the gated speedup is the median of the
-per-repeat ratios: a single run's ±20% swing cannot decide a parity
-gate.
+The two arms alternate repeat by repeat (``bench_out.interleaved``), so
+a slow stretch of a shared host lands on both, and the gated speedup is
+the median of the per-repeat ratios: a single run's ±20% swing cannot
+decide a parity gate.
 
 Set ``REPRO_PERF_QUICK=1`` for a reduced grid (CI smoke); its output goes
 to ``bench_out.bench_path``, outside the repository.
@@ -30,20 +30,13 @@ to ``bench_out.bench_path``, outside the repository.
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
-
 import pytest
 
-from bench_out import QUICK, bench_path
+from bench_out import QUICK, interleaved, merge_bench_json
 from repro.solvers import HighsIncrementalBackend, have_highs_core
 from repro.throughput import max_concurrent_throughput
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
-from repro.version import __version__
-
-BENCH_PATH = bench_path("BENCH_perf.json")
 
 SWITCHES = 12
 NUM_POINTS = 6 if QUICK else 14
@@ -62,29 +55,6 @@ def _workload():
 
 #: Interleaved (cold, warm) repeats per engine.
 REPEATS = 3 if QUICK else 7
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - t0, result
-
-
-def _interleaved(cold, warm):
-    """``(cold_s, warm_s, speedup, cold_result, warm_result)``: the
-    medians of :data:`REPEATS` alternating runs of the two arms, and
-    the median of the per-repeat ``cold / warm`` ratios."""
-    cold_times, warm_times, ratios = [], [], []
-    for _ in range(REPEATS):
-        cold_s, cold_result = _timed(cold)
-        warm_s, warm_result = _timed(warm)
-        cold_times.append(cold_s)
-        warm_times.append(warm_s)
-        ratios.append(cold_s / warm_s if warm_s > 0 else float("inf"))
-    return (
-        statistics.median(cold_times), statistics.median(warm_times),
-        statistics.median(ratios), cold_result, warm_result,
-    )
 
 
 #: mode -> (BENCH_perf.json entry, speedup gate on the full grid)
@@ -109,8 +79,8 @@ def test_warm_sweep_speedup_and_equivalence(mode):
         # cold model build (a sweep costs ~1 cold + N-1 warm solves).
         return HighsIncrementalBackend(mode=mode).solve_many(topo, tms)
 
-    cold_s, warm_s, speedup, cold_results, warm_outcomes = _interleaved(
-        cold, warm
+    cold_s, warm_s, speedup, cold_results, warm_outcomes = interleaved(
+        cold, warm, REPEATS
     )
 
     assert all(o.ok for o in warm_outcomes)
@@ -131,7 +101,6 @@ def test_warm_sweep_speedup_and_equivalence(mode):
         "accelerated_s": warm_s,
         "speedup": round(speedup, 2),
         "gate": gate,
-        "library_version": __version__,
         "params": {
             "switches": SWITCHES,
             "points": NUM_POINTS,
@@ -153,19 +122,7 @@ def test_warm_sweep_speedup_and_equivalence(mode):
 def test_zzz_update_bench_json():
     """Merge this suite's result into BENCH_perf.json (runs last)."""
     assert _RESULTS, "warm-sweep bench did not run"
-    path = BENCH_PATH
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except (OSError, ValueError):
-        payload = {"suite": "perf-kernels", "quick": QUICK, "kernels": {}}
-    payload["kernels"].update(_RESULTS)
-    payload["speedups_ge_3x"] = sorted(
-        k for k, v in payload["kernels"].items() if v["speedup"] >= 3.0
-    )
-    from repro.ioutils import atomic_write_json
-
-    atomic_write_json(path, payload, sort_keys=True)
+    payload = merge_bench_json("BENCH_perf.json", _RESULTS)
     if not QUICK:
         for name in _RESULTS:
             entry = payload["kernels"][name]

@@ -61,7 +61,8 @@ import contextlib
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -148,8 +149,9 @@ class _Pricer:
     """Demand arrays + shortest-path-tree column extraction.
 
     One multi-source Dijkstra (over the unique demand sources) prices
-    every demand at once; tree paths are decoded into arc-id tuples via
-    a dense (tail, head) -> arc lookup table.
+    every demand at once; tree paths are decoded into arc-id tuples by
+    reading the predecessor matrix as Python ints (``pred.item``) and a
+    per-tail ``{head: arc id}`` lookup (O(m), never an n^2 table).
     """
 
     def __init__(self, table: ArcTable, demands) -> None:
@@ -166,17 +168,25 @@ class _Pricer:
         self.unique_srcs, self.inv = np.unique(self.srcs, return_inverse=True)
 
     @functools.cached_property
-    def _graph(self) -> Tuple[Any, np.ndarray, np.ndarray]:
-        """``(csr, perm, arc_lut)``, built on the first Dijkstra so a
-        master solved without pricing never pays for the n^2 lookup."""
+    def _graph(self) -> Tuple[Any, np.ndarray, List[Dict[int, int]], List]:
+        """``(csr, perm, arc_of, walks)``, built on the first Dijkstra
+        so a master solved without pricing never pays for them.
+
+        ``arc_of[u][v]`` is the arc id of ``u -> v`` (node indices);
+        ``walks[i]`` is demand i's ``(Dijkstra row, source,
+        destination)``.
+        """
         table = self.table
         csr, perm = table.csr_structure()
-        n = table.num_nodes
-        lut = np.full(n * n, -1, dtype=np.int64)
-        lut[table.tails.astype(np.int64) * n + table.heads.astype(np.int64)] = (
-            np.arange(table.num_arcs)
+        arc_of: List[Dict[int, int]] = [{} for _ in range(table.num_nodes)]
+        for a, (u, v) in enumerate(
+            zip(table.tails.tolist(), table.heads.tolist())
+        ):
+            arc_of[u][v] = a
+        walks = list(
+            zip(self.inv.tolist(), self.srcs.tolist(), self.dsts.tolist())
         )
-        return csr, perm, lut
+        return csr, perm, arc_of, walks
 
     def tree_paths(
         self, lengths: np.ndarray
@@ -188,26 +198,25 @@ class _Pricer:
         ``dist`` is the raw Dijkstra distance matrix over the unique
         sources.
         """
-        csr, perm, lut = self._graph
+        csr, perm, arc_of, walks = self._graph
         csr.data = lengths[perm]
         dist, pred = csgraph.dijkstra(
             csr, directed=True, indices=self.unique_srcs,
             return_predecessors=True,
         )
-        n = self.table.num_nodes
+        reached = np.isfinite(self.demand_dists(dist)).tolist()
+        # ``item`` reads one entry as a Python int: no numpy scalar per
+        # hop, and no Python copy of the #sources x n matrix.
+        pred_of = pred.item
         out: List[Optional[Tuple[int, ...]]] = []
-        for i in range(self.nd):
-            row = self.inv[i]
-            dcol = int(self.dsts[i])
-            scol = int(self.srcs[i])
-            if not np.isfinite(dist[row, dcol]):
+        for ok, (row, s, v) in zip(reached, walks):
+            if not ok:
                 out.append(None)
                 continue
             path: List[int] = []
-            v = dcol
-            while v != scol:
-                u = int(pred[row, v])
-                path.append(int(lut[u * n + v]))
+            while v != s:
+                u = pred_of(row, v)
+                path.append(arc_of[u][v])
                 v = u
             path.reverse()
             out.append(tuple(path))
@@ -250,27 +259,37 @@ def _upper_bound(
     return float(np.dot(caps, w)) / denom
 
 
+def _flatten(
+    paths: Sequence[Optional[Tuple[int, ...]]], dem_vals: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(flat, vals)``: the arc ids of every routed path, in demand
+    order and source to destination, and each entry's demand value."""
+    lens = [len(c) if c else 0 for c in paths]
+    flat = np.fromiter(
+        chain.from_iterable(filter(None, paths)), dtype=np.intp,
+        count=sum(lens),
+    )
+    return flat, np.repeat(dem_vals, lens)
+
+
 def _mwu_sweep(
     pricer: _Pricer, pool: _Pool, caps: np.ndarray, phases: int
-) -> None:
+) -> np.ndarray:
     """Garg–Könemann-style pool builder: route every demand on a
     shortest tree, inflate traversed arc lengths by demand/capacity,
-    repeat — the visited trees approximate the optimal support."""
+    repeat — the visited trees approximate the optimal support.
+    Returns the final arc lengths."""
     lengths = 1.0 / caps
-    dem_vals = pricer.dem_vals
     for _ in range(phases):
         paths, _ = pricer.tree_paths(lengths)
-        flats = [np.asarray(c, dtype=np.intp) for c in paths if c]
-        if not flats:
-            return
-        flat = np.concatenate(flats)
-        vals = np.concatenate(
-            [np.full(len(c), dem_vals[i]) for i, c in enumerate(paths) if c]
-        )
+        flat, vals = _flatten(paths, pricer.dem_vals)
+        if not flat.size:
+            break
         for i, col in enumerate(paths):
             if col is not None:
                 pool.add(i, col)
         np.multiply.at(lengths, flat, 1.0 + _MWU_EPS * vals / caps[flat])
+    return lengths
 
 
 def _price_round(
@@ -295,25 +314,18 @@ def _price_round(
     ub = _upper_bound(pricer, caps, w, dists)
     added = 0
     improving = False
-    for i in range(pricer.nd):
-        if lam[i] <= _PRICE_TOL:
+    for i, (lam_i, dist_i) in enumerate(zip(lam.tolist(), dists.tolist())):
+        if lam_i <= _PRICE_TOL:
             continue
-        if dists[i] < lam[i] - _PRICE_TOL:
+        if dist_i < lam_i - _PRICE_TOL:
             improving = True
             if paths[i] is not None and pool.add(i, paths[i]):
                 added += 1
     if improving and passes > 1:
         wl = w.copy()
-        dem_vals = pricer.dem_vals
         for _ in range(passes - 1):
-            flats = [np.asarray(c, dtype=np.intp) for c in paths if c]
-            if flats:
-                flat = np.concatenate(flats)
-                vals = np.concatenate(
-                    [np.full(len(c), dem_vals[i])
-                     for i, c in enumerate(paths) if c]
-                )
-                np.multiply.at(wl, flat, 1.0 + _MWU_EPS * vals / caps[flat])
+            flat, vals = _flatten(paths, pricer.dem_vals)
+            np.multiply.at(wl, flat, 1.0 + _MWU_EPS * vals / caps[flat])
             paths, _ = pricer.tree_paths(wl)
             for i, col in enumerate(paths):
                 if col is not None and pool.add(i, col):
@@ -321,40 +333,51 @@ def _price_round(
     return added, improving, ub
 
 
+def _pool_arrays(
+    cols: Sequence[Tuple[int, ...]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(counts, flat)``: each column's arc count, and every column's
+    arc ids concatenated in pool order."""
+    counts = np.fromiter(map(len, cols), dtype=np.intp, count=len(cols))
+    flat = np.fromiter(
+        chain.from_iterable(cols), dtype=np.intp, count=int(counts.sum())
+    )
+    return counts, flat
+
+
+def _path_columns(
+    cols: Sequence[Tuple[int, ...]], owners: Sequence[int], nd: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Column-wise ``(starts, idx)`` of path columns: each column holds
+    its owner's demand row, then row ``nd + a`` per arc ``a`` in path
+    order (every entry is 1)."""
+    counts, flat = _pool_arrays(cols)
+    starts = np.zeros(len(cols) + 1, dtype=np.int64)
+    np.cumsum(counts + 1, out=starts[1:])
+    idx = np.empty(int(starts[-1]), dtype=np.int32)
+    arc_slot = np.ones(idx.size, dtype=bool)
+    arc_slot[starts[:-1]] = False
+    idx[starts[:-1]] = owners
+    idx[arc_slot] = nd + flat
+    return starts, idx
+
+
 def _master_arrays(
     pool: _Pool, dem_vals: np.ndarray, nd: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized column-wise master assembly.
 
-    Returns ``(starts, idx, val, counts, flat)`` for the ``len(pool)``
-    path columns followed by the ``t`` column (entry ``-d_i`` in every
-    demand row).  Rows: ``[0, nd)`` demand equalities, ``[nd, nd+m)``
-    arc capacities.
+    Returns ``(starts, idx, val)`` for the ``len(pool)`` path columns
+    followed by the ``t`` column (entry ``-d_i`` in every demand row).
+    Rows: ``[0, nd)`` demand equalities, ``[nd, nd+m)`` arc capacities.
     """
-    nv = len(pool)
-    counts = np.asarray([len(c) for c in pool.cols], dtype=np.int64)
-    flat = (
-        np.concatenate([np.asarray(c, dtype=np.int64) for c in pool.cols])
-        if nv
-        else np.empty(0, dtype=np.int64)
-    )
-    col_nnz = counts + 1  # the owner-row entry plus one entry per arc
-    starts = np.zeros(nv + 2, dtype=np.int64)
-    starts[1:nv + 1] = np.cumsum(col_nnz)
-    starts[nv + 1] = starts[nv] + nd
-    total = int(starts[-1])
-    idx = np.empty(total, dtype=np.int32)
-    val = np.ones(total)
-    idx[starts[:nv]] = np.asarray(pool.owners, dtype=np.int32)
-    arc_pos = np.repeat(starts[:nv] + 1, counts) + (
-        np.concatenate([np.arange(c) for c in counts])
-        if nv
-        else np.empty(0, dtype=np.int64)
-    )
-    idx[arc_pos] = (nd + flat).astype(np.int32)
-    idx[starts[nv]:] = np.arange(nd, dtype=np.int32)
-    val[starts[nv]:] = -dem_vals
-    return starts, idx, val, counts, flat
+    starts, idx = _path_columns(pool.cols, pool.owners, nd)
+    t_start = int(starts[-1])
+    starts = np.append(starts, t_start + nd)
+    idx = np.concatenate([idx, np.arange(nd, dtype=np.int32)])
+    val = np.ones(idx.size)
+    val[t_start:] = -dem_vals
+    return starts, idx, val
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +399,7 @@ def _solve_core(
     dem_vals = pricer.dem_vals
 
     nv0 = len(pool)
-    starts, idx, val, _counts, _flat = _master_arrays(pool, dem_vals, nd)
+    starts, idx, val = _master_arrays(pool, dem_vals, nd)
     cost = np.zeros(nv0 + 1)
     cost[nv0] = -1.0
     h = highs.build_model(
@@ -436,23 +459,14 @@ def _solve_core(
             if added == 0:
                 continue
         # Append the new columns and re-solve warm from the basis.
-        new = list(zip(pool.owners[-added:], pool.cols[-added:]))
-        nn = len(new)
-        col_counts = np.asarray([len(c) + 1 for _, c in new], dtype=np.int64)
-        cstarts = np.zeros(nn + 1, dtype=np.int64)
-        cstarts[1:] = np.cumsum(col_counts)
-        cidx = np.empty(int(cstarts[-1]), dtype=np.int32)
-        cval = np.ones(int(cstarts[-1]))
-        for j, (di, col) in enumerate(new):
-            s0 = int(cstarts[j])
-            cidx[s0] = di
-            cidx[s0 + 1:s0 + 1 + len(col)] = nd + np.asarray(
-                col, dtype=np.int32
-            )
-        with obs.span("colgen.master", columns=nn, warm=True):
+        cstarts, cidx = _path_columns(
+            pool.cols[-added:], pool.owners[-added:], nd
+        )
+        with obs.span("colgen.master", columns=added, warm=True):
             h.addCols(
-                nn, np.zeros(nn), np.zeros(nn), np.full(nn, np.inf),
-                int(cstarts[-1]), cstarts.astype(np.int32), cidx, cval,
+                added, np.zeros(added), np.zeros(added),
+                np.full(added, np.inf), cidx.size, cstarts.astype(np.int32),
+                cidx, np.ones(cidx.size),
             )
             _run()
     else:
@@ -498,12 +512,7 @@ def _solve_cold(
         """
         nonlocal iterations
         nv = len(pool)
-        counts = np.asarray([len(c) for c in pool.cols], dtype=np.intp)
-        flat = (
-            np.concatenate([np.asarray(c, dtype=np.intp) for c in pool.cols])
-            if nv
-            else np.empty(0, dtype=np.intp)
-        )
+        counts, flat = _pool_arrays(pool.cols)
         path_cols = np.arange(nv, dtype=np.intp)
         rows = np.concatenate([
             flat,
@@ -642,18 +651,12 @@ def colgen_solve(
                 bucket.append(col)
         pool_store.update(per_pair)
 
-    counts = np.asarray([len(c) for c in pool.cols], dtype=np.intp)
-    flat = (
-        np.concatenate([np.asarray(c, dtype=np.intp) for c in pool.cols])
-        if len(pool)
-        else np.empty(0, dtype=np.intp)
-    )
+    counts, flat = _pool_arrays(pool.cols)
     flows = np.zeros(table.num_arcs)
     np.add.at(flows, flat, np.repeat(pool_x, counts))
-    utilization = {
-        table.arcs[a]: float(flows[a] / caps[a]) if caps[a] else 0.0
-        for a in range(table.num_arcs)
-    }
+    ratio = np.zeros(table.num_arcs)
+    np.divide(flows, caps, out=ratio, where=caps != 0)
+    utilization = dict(zip(table.arcs, ratio.tolist()))
     result = ThroughputResult(
         throughput=t,
         per_server=min(1.0, t * per_server_demand),

@@ -67,11 +67,16 @@ class TestSweepAcceptance:
             r.metrics for r in serial.records
         ]
 
-        # On a multi-core host the 2-wide pool beats the serial sweep.
-        # (A 1-core container can't overlap CPU-bound sims, so the
-        # speedup claim is only checkable where parallelism exists.)
+        # On a multi-core host the 2-wide pool overlaps its points: the
+        # sweep's wall clock is below the sum of its points' own wall
+        # clocks.  Both sides come from the same run, so a host slowed
+        # by other load slows both.  (A 1-core container can't overlap
+        # CPU-bound sims, so the claim is only checkable where
+        # parallelism exists.)
         if (os.cpu_count() or 1) >= 2:
-            assert parallel.wall_clock_s < serial.wall_clock_s
+            assert parallel.wall_clock_s < sum(
+                r.wall_clock_s for r in parallel.records
+            )
 
         # An immediate re-run of the same specs is served from cache:
         # >= 90% of the successful points, with zero recomputation.
