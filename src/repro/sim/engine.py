@@ -7,14 +7,17 @@ runs fully deterministic.  The hot paths (:meth:`Engine.schedule` and
 :meth:`Engine.schedule_at`) allocate no closures and no handles:
 callbacks take one optional pre-bound argument.  :meth:`Engine.schedule_at`
 pushes its absolute time unchanged, so a caller that computed an exact
-instant (a link's delivery time) gets exactly that instant.  Cancellable
-events (used for retransmission timers) go through
-:meth:`Engine.schedule_cancellable`.
+instant (a link's delivery time) gets exactly that instant;
+:meth:`repro.sim.link.Link.send` inlines it, pushing its delivery entry
+in this layout straight onto the heap.  Cancellable events (used for
+retransmission timers) go through :meth:`Engine.schedule_cancellable`.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import sys
 from typing import Any, Callable, List, Optional
 
 __all__ = ["Engine", "EventHandle"]
@@ -116,17 +119,23 @@ class Engine:
         """Process events in time order.
 
         Stops when the heap is empty, the next event is beyond ``until``,
-        or ``max_events`` have been processed.  Returns the number of
-        events processed by this call.
+        or ``max_events`` have been processed (``0`` processes none).
+        Returns the number of events processed by this call.
         """
+        if max_events is None:
+            max_events = sys.maxsize
+        elif max_events < 0:
+            raise ValueError(f"max_events must be non-negative, got {max_events}")
+        horizon = math.inf if until is None else until
         processed = 0
         heap = self._heap
+        heappop = heapq.heappop
         no_arg = _NO_ARG
-        while heap:
+        while heap and processed < max_events:
             t, _, callback, arg, handle = heap[0]
-            if until is not None and t > until:
+            if t > horizon:
                 break
-            heapq.heappop(heap)
+            heappop(heap)
             if handle is not None:
                 if handle.cancelled:
                     self._cancelled -= 1
@@ -138,8 +147,6 @@ class Engine:
             else:
                 callback(arg)
             processed += 1
-            if max_events is not None and processed >= max_events:
-                break
         if until is not None and (not heap or heap[0][0] > until):
             self.now = max(self.now, until)
         self._processed += processed

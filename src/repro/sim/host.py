@@ -31,11 +31,6 @@ class Host:
         self._senders: Dict[int, DctcpSender] = {}
         self._receivers: Dict[int, DctcpReceiver] = {}
 
-    def transmit(self, packet: Packet) -> None:
-        """Send a packet up to the ToR."""
-        assert self.uplink is not None, "host not wired to its ToR"
-        self.uplink.send(packet)
-
     def start_flow(
         self,
         params: TransportParams,
@@ -48,7 +43,7 @@ class Host:
         """Open a flow from this host to ``dst_host`` and start sending."""
         receiver = DctcpReceiver(
             engine=self.engine,
-            transmit=dst_host.transmit,
+            transmit=dst_host.uplink.send,
             flow_id=flow_id,
             src_server=self.server_id,
             dst_server=dst_host.server_id,
@@ -61,7 +56,7 @@ class Host:
             engine=self.engine,
             params=params,
             routing=routing,
-            transmit=self.transmit,
+            transmit=self.uplink.send,
             flow_id=flow_id,
             src_server=self.server_id,
             dst_server=dst_host.server_id,

@@ -24,6 +24,7 @@ the packet.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, Optional, Tuple
 
 from .engine import Engine
@@ -161,7 +162,14 @@ class Link:
         self._backlog_bytes += wire
         self._accepted_packets += 1
         self._accepted_bytes += wire
-        engine.schedule_at(finish + self.prop_delay, self.sink, packet)
+        # Engine.schedule_at inlined: this runs once per packet hop.  The
+        # entry layout ``(when, seq, callback, arg, handle)`` belongs to
+        # Engine.  ``finish >= now``, so the past-time check cannot fire.
+        seq = engine._seq + 1
+        engine._seq = seq
+        heappush(
+            engine._heap, (finish + self.prop_delay, seq, self.sink, packet, None)
+        )
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds spent transmitting bytes."""

@@ -143,7 +143,7 @@ class MptcpFlow:
             sub_id = flow_id * MPTCP_SUBFLOW_FACTOR + idx
             receiver = DctcpReceiver(
                 engine=engine,
-                transmit=dst_host.transmit,
+                transmit=dst_host.uplink.send,
                 flow_id=sub_id,
                 src_server=src_host.server_id,
                 dst_server=dst_host.server_id,
@@ -155,7 +155,7 @@ class MptcpFlow:
                 engine=engine,
                 params=pinned,
                 routing=_PinnedViaPolicy(routing, vias[idx]),
-                transmit=src_host.transmit,
+                transmit=src_host.uplink.send,
                 flow_id=sub_id,
                 src_server=src_host.server_id,
                 dst_server=dst_host.server_id,

@@ -124,6 +124,9 @@ class SimulatedNetwork:
             self.switches[tor].attach_host_port(server_id, down)
             self.links.append(down)
 
+        for switch in self.switches.values():
+            switch.compile()
+
     # ------------------------------------------------------------------
     @property
     def num_servers(self) -> int:

@@ -64,6 +64,13 @@ def _mix(a: int, b: int, c: int, d: int) -> int:
 class RoutingPolicy:
     """Shared ECMP machinery; subclasses decide VLB usage per flowlet.
 
+    :meth:`next_hop` remains the per-packet forwarding API.  A policy
+    that does not override it is served from each switch's compiled
+    table instead (see :meth:`repro.sim.switch.Switch.compile`), which
+    makes the same choice without calling it; a policy that overrides
+    it (e.g. :class:`AdaptiveEcmpRouting`, which reads live queues) is
+    asked for every packet.
+
     Parameters
     ----------
     graph:
@@ -113,6 +120,16 @@ class RoutingPolicy:
         if table is None:
             return []
         return table.get(switch_id, [])
+
+    def next_hops_at(self, switch_id: int) -> Dict[int, List[int]]:
+        """Every target with at least one ECMP next hop at ``switch_id``,
+        mapped to those next hops (the same lists :meth:`next_hop` picks
+        from)."""
+        return {
+            target: table[switch_id]
+            for target, table in self._tables.items()
+            if table.get(switch_id)
+        }
 
     def _resolve_target(self, switch_id: int, packet: Packet) -> int:
         """The packet's current target, decapsulating when the VLB

@@ -4,7 +4,8 @@ Same inputs as the ``packet_fct`` workload in ``perfbench/workloads.py``:
 Permute(0.31) at 0.5 load per active server, 1 Gbps links, one pFabric
 trace at a 200 KB mean (trace seed 1), flows measured over [0.02, 0.04)
 and injected until 0.06; ``seed`` draws the rack permutation and the
-routing and simulation seeds.  ``outcome`` condenses a finished run into
+routing and simulation seeds, and ``failures`` (a failure spec such as
+``"links:fraction=0.2,seed=1"``) degrades the topology first.  ``outcome`` condenses a finished run into
 the values the pin and reference-model tests compare.
 """
 
@@ -34,11 +35,14 @@ def run(
     seed: int,
     transport: str = "dctcp",
     server_link_rate_bps: Optional[float] = LINK_RATE,
+    failures: Optional[str] = None,
     **network: Any,
 ) -> PacketSimulation:
     """Build, inject and run one packet simulation; return it finished."""
     spec, take_first = SYSTEMS[system]
     topo = registry.topology(spec)
+    if failures is not None:
+        topo = registry.failure(failures).apply(topo)
     start, end = MEASURE
     pairs = registry.traffic(
         {"pattern": "permute", "fraction": 0.31, "seed": seed,

@@ -84,6 +84,53 @@ class TestRunLimits:
         assert processed == 3
         assert log == [0, 1, 2]
 
+    def test_max_events_zero_processes_nothing(self):
+        e = Engine()
+        log = []
+        e.schedule(0.1, log.append, 0)
+        assert e.run(max_events=0) == 0
+        assert log == []
+        assert e.now == 0.0
+        assert e.events_processed == 0
+        assert e.pending == 1
+        assert e.run() == 1
+        assert log == [0]
+
+    def test_max_events_zero_with_horizon_advances_clock_only(self):
+        e = Engine()
+        log = []
+        e.schedule(0.1, log.append, 0)
+        e.schedule(1.0, log.append, 1)
+        assert e.run(until=0.5, max_events=0) == 0
+        assert log == []
+        # The event at 0.1 is still due, so the clock stays put.
+        assert e.now == 0.0
+        e.run(until=0.5)
+        assert e.run(until=0.8, max_events=0) == 0
+        assert e.now == 0.8
+        assert log == [0]
+
+    @pytest.mark.parametrize("max_events", [-1, -5])
+    def test_negative_max_events_rejected(self, max_events):
+        e = Engine()
+        log = []
+        e.schedule(0.1, log.append, 0)
+        with pytest.raises(ValueError, match="max_events"):
+            e.run(max_events=max_events)
+        assert log == []
+        assert e.events_processed == 0
+        assert e.pending == 1
+
+    def test_max_events_skips_cancelled_without_counting(self):
+        e = Engine()
+        log = []
+        e.schedule_cancellable(0.1, log.append, 0).cancel()
+        e.schedule(0.2, log.append, 1)
+        e.schedule(0.3, log.append, 2)
+        assert e.run(max_events=1) == 1
+        assert log == [1]
+        assert e.pending == 1
+
     def test_events_processed_counter(self):
         e = Engine()
         for i in range(4):

@@ -11,6 +11,12 @@ bytes and deepest queue.
 The runs are the benchmark's ``packet_fct`` configuration (fat-tree k=4
 with ECMP and Xpander with HYB, seeds 1 and 7) plus the Xpander under
 VLB, adaptive ECMP and HYB with unconstrained server links (§6.6).
+
+The second group was captured before switches forwarded from compiled
+per-target link tables: the Xpander under congestion-aware HYB, KSP
+source routing and VLB with constrained server links; MPTCP over
+fat-tree ECMP and over Xpander HYB; and HYB on an Xpander that lost a
+fifth of its cables.
 """
 
 import pytest
@@ -57,6 +63,37 @@ PINS = {
         dict(system="xpander", routing="hyb", seed=1, server_link_rate_bps=None),
         ("cd8e8c91d341e4385b7b35a8a27f07163b0a671207fb931e06d2fc2498e402ae",
          0, 1447, 48340815, 98330),
+    ),
+    "xpander-chyb-seed1": (
+        dict(system="xpander", routing="chyb", seed=1),
+        ("2725eeef549ce12b0c01581731978d82fa60e6218973c8a00a907adf3154e98c",
+         0, 1903, 55311806, 101792),
+    ),
+    "xpander-ksp-seed1": (
+        dict(system="xpander", routing="ksp", seed=1),
+        ("a21f404a58889356c6e0b4c2c58c21295f983b3edd980b62b2f6180afe05e3bb",
+         0, 2248, 56851404, 122715),
+    ),
+    "xpander-vlb-seed1": (
+        dict(system="xpander", routing="vlb", seed=1),
+        ("d6a108dfe8b3a3348edb72b942db145ecd16141d62f823987aa3feb201554c19",
+         0, 1595, 59821586, 117575),
+    ),
+    "fattree-ecmp-mptcp-seed1": (
+        dict(system="fattree", routing="ecmp", seed=1, transport="mptcp"),
+        ("cfc97ee45fb70a5524fd274a9a1fe30968f80c0bb868cd8dd0b709a4b7c1b7ce",
+         0, 2876, 58547411, 109562),
+    ),
+    "xpander-hyb-mptcp-seed1": (
+        dict(system="xpander", routing="hyb", seed=1, transport="mptcp"),
+        ("bf210b872d5b801cc5f4c8b06ac255286747cd1e9e96882e19f3427df0a4e38b",
+         0, 3750, 47396447, 124036),
+    ),
+    "xpander-hyb-degraded": (
+        dict(system="xpander", routing="hyb", seed=1,
+             failures="links:fraction=0.2,seed=1"),
+        ("2d3934fe4e3f7b5932e02ac2e8e31873962baf02fde5fdece876aa69d08466e7",
+         0, 1842, 60415023, 117515),
     ),
 }
 
