@@ -10,12 +10,13 @@ Kernels covered (ISSUE acceptance: >= 3x on at least two):
 * ECMP table construction — one networkx BFS per destination vs. a
   single csgraph all-pairs sweep (:class:`repro.perf.PathCache`).
 * Exact-LP constraint assembly — per-(destination, node) Python loops
-  vs. broadcast block construction.
+  kept in ``tests/throughput/lp_reference.py`` vs. broadcast block
+  construction.
 * K-shortest-path enumeration across a demand set — fresh Yen's per
   request vs. the memoizing cache over repeated passes.
 * Max-min fair-share recompute at >= 500 flows — dict-of-dicts
-  progressive filling vs. the numpy water-fill over (arc, flow,
-  multiplicity) triplets.
+  progressive filling kept in ``tests/flowsim/fairshare_reference.py``
+  vs. the numpy water-fill over (arc, flow, multiplicity) triplets.
 * Fair-share churn at the size the flow simulator serves (~11 active
   flows over ~100 arcs) — the reference on each snapshot vs.
   :class:`~repro.flowsim.FairShareState` add/remove + ``rates()``.
@@ -50,23 +51,20 @@ import time
 
 from bench_out import QUICK, interleaved, merge_bench_json
 from repro import registry
-from repro.flowsim.fairshare import (
-    FairShareState,
-    _max_min_allocation_reference,
-    max_min_allocation,
-)
+from repro.flowsim.fairshare import FairShareState, max_min_allocation
 from repro.perf import PathCache
 from repro.throughput.arcs import ArcTable
 from repro.throughput.colgen import _mwu_sweep, _Pool, _Pricer
 from repro.throughput.lp import (
-    _assemble_exact_reference,
     _assemble_exact_vectorized,
     _demands_by_destination,
 )
 from repro.throughput.paths import ecmp_next_hops, k_shortest_paths
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm, permutation_tm
+from tests.flowsim.fairshare_reference import max_min_allocation_reference
 from tests.solvers.colgen_reference import reference_sweep
+from tests.throughput.lp_reference import assemble_exact_reference
 
 _RESULTS: dict = {}
 
@@ -144,14 +142,14 @@ def test_exact_lp_assembly():
     table = ArcTable.from_topology(topo)
     dests, demand_to = _demands_by_destination(tm)
 
-    a_eq_r, b_r, a_ub_r = _assemble_exact_reference(table, dests, demand_to)
+    a_eq_r, b_r, a_ub_r = assemble_exact_reference(table, dests, demand_to)
     a_eq_v, b_v, a_ub_v = _assemble_exact_vectorized(table, dests, demand_to)
     assert (a_eq_r != a_eq_v).nnz == 0
     assert (a_ub_r != a_ub_v).nnz == 0
 
     speedup = _record(
         "lp_assembly",
-        _time(lambda: _assemble_exact_reference(table, dests, demand_to)),
+        _time(lambda: assemble_exact_reference(table, dests, demand_to)),
         _time(lambda: _assemble_exact_vectorized(table, dests, demand_to)),
         {"switches": topo.num_switches, "destinations": len(dests)},
     )
@@ -207,13 +205,13 @@ def test_fairshare_recompute_500_flows():
         for fid in range(n_flows)
     }
 
-    ref = _max_min_allocation_reference(flow_paths, capacities)
+    ref = max_min_allocation_reference(flow_paths, capacities)
     vec = max_min_allocation(flow_paths, capacities)
     assert ref == vec
 
     speedup = _record(
         "fairshare_recompute",
-        _time(lambda: _max_min_allocation_reference(flow_paths, capacities)),
+        _time(lambda: max_min_allocation_reference(flow_paths, capacities)),
         _time(lambda: max_min_allocation(flow_paths, capacities)),
         {"flows": n_flows, "arcs": len(arcs)},
     )
@@ -252,7 +250,7 @@ def test_fairshare_state_small():
                 del snapshot[fid]
             else:
                 snapshot[fid] = path
-            out.append(_max_min_allocation_reference(snapshot, capacities))
+            out.append(max_min_allocation_reference(snapshot, capacities))
         return out
 
     def accelerated():

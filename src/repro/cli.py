@@ -12,7 +12,7 @@ paper's Netbench artifact is driven from configs:
 * ``resilience`` — failure campaign from a JSON file: throughput
   retained vs. fraction failed across topologies (x routings);
 * ``design``     — inverse design: cheapest topology meeting a
-  declarative SLO target (see ``docs/design.md``);
+  declarative SLO target (see ``docs/design-search.md``);
 * ``cost``       — Table 1 port costs and a topology's port cost;
 * ``cabling``    — Fig 3-style cabling/bundling report.
 """
@@ -756,7 +756,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="inverse design: cheapest topology meeting an SLO target",
     )
     p.add_argument(
-        "target", help="design target JSON (see docs/design.md)"
+        "target", help="design target JSON (see docs/design-search.md)"
     )
     p.add_argument(
         "--no-sensitivity", action="store_true",

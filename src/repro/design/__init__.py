@@ -16,7 +16,7 @@ throughput), pruning counters, and a tornado sensitivity table.
 Front ends: ``python -m repro design <target.json>``, ``POST
 /v1/design`` (sync), ``kind: "design"`` jobs under ``/v1/jobs``
 (async), and :meth:`repro.api.ReproClient.design`.  See
-``docs/design.md``.
+``docs/design-search.md``.
 """
 
 from .report import DesignReport, EvaluatedDesign, PrunedCandidate

@@ -6,20 +6,18 @@ until a link saturates, flows crossing saturated links freeze, and the
 rest continue — the classic water-filling algorithm.  This is the rate
 model underlying the flow-level simulator.
 
-Two implementations are provided:
-
-* :func:`max_min_allocation` — vectorized: the flows' arc traversals
-  become ``(arc, flow, multiplicity)`` triplets in three numpy arrays
-  (a VLB detour crossing an arc twice consumes double there), and each
-  water-filling round is a handful of numpy operations: one
-  ``np.bincount`` for the per-arc live multiplicities, a vectorized
-  headroom division, and a gather that freezes the flows on saturated
-  arcs and drops their entries.  Rates are bit-identical to the
-  reference (multiplicities are small exact integers, and a frozen
-  flow's rate is the same running sum of per-round increments).
-* :func:`_max_min_allocation_reference` — the original dict-of-dicts
-  progressive filling, kept private as the equivalence oracle for the
-  property tests and the baseline of the perf bench.
+:func:`max_min_allocation` is vectorized: the flows' arc traversals
+become ``(arc, flow, multiplicity)`` triplets in three numpy arrays (a
+VLB detour crossing an arc twice consumes double there), and each
+water-filling round is a handful of numpy operations: one
+``np.bincount`` for the per-arc live multiplicities, a vectorized
+headroom division, and a gather that freezes the flows on saturated
+arcs and drops their entries.  Rates are bit-identical to the original
+dict-of-dicts progressive filling, kept in
+``tests/flowsim/fairshare_reference.py`` as the equivalence oracle for
+the property tests and the baseline of the perf bench (multiplicities
+are small exact integers, and a frozen flow's rate is the same running
+sum of per-round increments).
 
 :class:`FairShareState` is the incremental companion used by the
 flow-level simulator: it interns each flow's arcs into integer ids once
@@ -40,71 +38,6 @@ __all__ = [
 
 #: Numerical slack under which an arc counts as saturated.
 _SATURATION_EPS = 1e-12
-
-
-def _max_min_allocation_reference(
-    flow_paths: Dict[Hashable, Sequence[Tuple[int, int]]],
-    capacities: Dict[Tuple[int, int], float],
-) -> Dict[Hashable, float]:
-    """Reference progressive-filling implementation (pure Python).
-
-    Semantics are documented on :func:`max_min_allocation`, which must
-    produce identical rates; this version is kept as the equivalence
-    oracle and perf baseline.
-    """
-    rates: Dict[Hashable, float] = {}
-    # Count per-arc usage multiplicity per flow.
-    arc_flows: Dict[Tuple[int, int], Dict[Hashable, int]] = {}
-    active: Dict[Hashable, bool] = {}
-    for fid, path in flow_paths.items():
-        if not path:
-            rates[fid] = float("inf")
-            continue
-        rates[fid] = 0.0
-        active[fid] = True
-        for arc in path:
-            if arc not in capacities:
-                raise KeyError(f"flow {fid!r} uses unknown arc {arc}")
-            arc_flows.setdefault(arc, {})
-            arc_flows[arc][fid] = arc_flows[arc].get(fid, 0) + 1
-
-    used: Dict[Tuple[int, int], float] = {a: 0.0 for a in arc_flows}
-
-    while active:
-        # Tightest link: smallest (headroom / active multiplicity).
-        best_inc = None
-        for arc, members in arc_flows.items():
-            mult = sum(m for f, m in members.items() if f in active)
-            if mult == 0:
-                continue
-            headroom = capacities[arc] - used[arc]
-            inc = headroom / mult
-            if best_inc is None or inc < best_inc:
-                best_inc = inc
-        if best_inc is None:
-            break
-        best_inc = max(best_inc, 0.0)
-
-        # Raise every active flow by the increment.
-        for fid in active:
-            rates[fid] += best_inc
-        for arc, members in arc_flows.items():
-            mult = sum(m for f, m in members.items() if f in active)
-            used[arc] += best_inc * mult
-
-        # Freeze flows on (numerically) saturated arcs.
-        newly_frozen = set()
-        for arc, members in arc_flows.items():
-            if used[arc] >= capacities[arc] - _SATURATION_EPS:
-                for f in members:
-                    if f in active:
-                        newly_frozen.add(f)
-        if not newly_frozen:
-            break  # all remaining arcs have infinite headroom (defensive)
-        for f in newly_frozen:
-            del active[f]
-
-    return rates
 
 
 def _waterfill(

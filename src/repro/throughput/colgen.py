@@ -93,9 +93,6 @@ _PRICE_TOL = 1e-10
 _GAP_TOL = 1e-10
 #: Multiplicative-weights inflation rate for the pool-building sweep.
 _MWU_EPS = 0.25
-#: Persistent-pool bound per demand pair (warm contexts; the optimum's
-#: support rarely needs more than a few dozen paths per demand).
-POOL_CAP_PER_PAIR = 64
 
 @dataclass
 class ColgenStats:
@@ -582,11 +579,14 @@ def colgen_solve(
 
     ``pool_store`` is an optional persistent ``(src, dst) -> [paths]``
     mapping (arc-id tuples against *this* ArcTable): pre-existing
-    entries seed the master, and newly generated columns are written
-    back (bounded by :data:`POOL_CAP_PER_PAIR`) — how
-    :class:`ColgenTopologyContext` warm-starts
-    repeated solves.  ``use_core=None`` auto-detects the bundled HiGHS
-    core for the warm engine; ``False`` forces the cold engine.
+    entries seed the master, and each solved pair's entry is replaced
+    by its columns that carry flow at the optimum — how
+    :class:`ColgenTopologyContext` warm-starts repeated solves.  Only
+    the support is kept (a basic optimum has at most ``nd + m``
+    positive columns), so the stored pool, and with it every later
+    warm master, stays small.  ``use_core=None`` auto-detects the
+    bundled HiGHS core for the warm engine; ``False`` forces the cold
+    engine.
 
     ``max_rounds=0`` prices nothing: the seeded master is solved once
     and reported as the ``"paths"`` formulation — with ``phases=0`` and
@@ -641,15 +641,13 @@ def colgen_solve(
     stats.columns = len(pool)
 
     if pool_store is not None:
-        pairs = [pair for pair, _ in demands]
-        per_pair: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {
-            pair: [] for pair in pairs
+        support: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {
+            pair: [] for pair, _ in demands
         }
-        for di, col in zip(pool.owners, pool.cols):
-            bucket = per_pair[pairs[di]]
-            if len(bucket) < POOL_CAP_PER_PAIR:
-                bucket.append(col)
-        pool_store.update(per_pair)
+        for di, col, x in zip(pool.owners, pool.cols, pool_x.tolist()):
+            if x > 0:
+                support[demands[di][0]].append(col)
+        pool_store.update(support)
 
     counts, flat = _pool_arrays(pool.cols)
     flows = np.zeros(table.num_arcs)
@@ -672,14 +670,14 @@ class ColgenTopologyContext:
 
     Hoists the :class:`~repro.throughput.arcs.ArcTable`, component
     labels and the (shared) :class:`~repro.perf.PathCache`, and persists
-    the generated column pool across warm solves (``(src, dst) ->
-    [arc-id paths]``, bounded per pair by :data:`POOL_CAP_PER_PAIR`): a
-    later solve over covered pairs seeds its first master from the pool,
-    skips the multiplicative-weights sweep, and typically converges in a
-    pricing round or two.
+    a column pool across warm solves (``(src, dst) -> [arc-id paths]``,
+    each pair's entry the support of its last solve's optimum): a later
+    solve over covered pairs seeds its first master from the pool and
+    the k shortest paths, skips the multiplicative-weights sweep, and
+    lets pricing supply the columns its own optimum needs.
 
     Warm solves serialize on the pool; ``warm=False`` solves neither
-    read nor extend it and run in parallel.  :meth:`stats` never waits
+    read nor update it and run in parallel.  :meth:`stats` never waits
     for an in-flight solve.
     """
 
@@ -717,6 +715,7 @@ class ColgenTopologyContext:
         self.warm_solves = 0
         self.pricing_rounds = 0
         self.columns_added = 0
+        self.pool_columns = 0
 
     def solve(
         self,
@@ -729,7 +728,7 @@ class ColgenTopologyContext:
 
         Degenerate conventions and the failure taxonomy are exactly
         those of :func:`~repro.throughput.lp.max_concurrent_throughput`.
-        With ``warm=False`` the solve neither reads nor extends the
+        With ``warm=False`` the solve neither reads nor updates the
         pool.  ``flags``, when given, receives this solve's
         ``warm_started`` (the pool covered every demand pair),
         ``basis_reused`` (always False: only columns persist) and
@@ -761,7 +760,10 @@ class ColgenTopologyContext:
                     "k": self.k,
                 },
             )
+            pool_columns = sum(map(len, self._pool.values())) if warm else 0
         with self._lock:
+            if warm:
+                self.pool_columns = pool_columns
             self.solves += 1
             self.warm_solves += stats.pool_warm
             self.pricing_rounds += stats.rounds
@@ -780,6 +782,7 @@ class ColgenTopologyContext:
                 "k": self.k,
                 "max_rounds": self.max_rounds,
                 "pool_pairs": len(self._pool),
+                "pool_columns": self.pool_columns,
                 "solves": self.solves,
                 "warm_solves": self.warm_solves,
                 "pricing_rounds": self.pricing_rounds,

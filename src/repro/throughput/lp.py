@@ -28,9 +28,9 @@ Constraint assembly is vectorized: conservation and capacity blocks are
 built from numpy coordinate arrays over the :class:`~.arcs.ArcTable`
 incidence structure instead of Python append loops, producing the
 *identical* canonical CSR matrices orders of magnitude faster (see
-``benchmarks/perf``).  The original loop assembly is retained as
-:func:`_assemble_exact_reference` — the equivalence oracle for tests and
-the baseline for the perf-regression bench.
+``benchmarks/perf``).  The original loop assembly lives in
+``tests/throughput/lp_reference.py`` as the equivalence oracle for tests
+and the baseline for the perf-regression bench.
 """
 
 from __future__ import annotations
@@ -155,76 +155,6 @@ def _demands_by_destination(
     for (s, d), val in tm.demands.items():
         demand_to[d][s] = demand_to[d].get(s, 0.0) + val
     return dests, demand_to
-
-
-def _assemble_exact_reference(
-    table: ArcTable,
-    dests: List[int],
-    demand_to: Dict[int, Dict[int, float]],
-) -> Tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix]:
-    """Loop-based assembly of the exact LP's constraint matrices.
-
-    Retained as the equivalence oracle for the vectorized assembly (the
-    two must produce identical canonical CSR matrices) and as the
-    baseline the perf bench measures against.  Production calls go
-    through :func:`_assemble_exact_vectorized`.
-    """
-    arcs = table.arcs
-    nodes = table.nodes
-    num_arcs = table.num_arcs
-    num_dests = len(dests)
-    dest_index = {d: i for i, d in enumerate(dests)}
-    num_vars = num_dests * num_arcs + 1  # + t
-    t_var = num_vars - 1
-
-    def fvar(d_idx: int, a_idx: int) -> int:
-        return d_idx * num_arcs + a_idx
-
-    # Equality: conservation per (dest, node != dest):
-    #   sum(out arcs) - sum(in arcs) - t * demand(v -> d) = 0
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    row = 0
-    out_arcs: Dict[int, List[int]] = {v: [] for v in nodes}
-    in_arcs: Dict[int, List[int]] = {v: [] for v in nodes}
-    for i, (u, v) in enumerate(arcs):
-        out_arcs[u].append(i)
-        in_arcs[v].append(i)
-
-    for d in dests:
-        di = dest_index[d]
-        for v in nodes:
-            if v == d:
-                continue
-            for a in out_arcs[v]:
-                eq_rows.append(row)
-                eq_cols.append(fvar(di, a))
-                eq_vals.append(1.0)
-            for a in in_arcs[v]:
-                eq_rows.append(row)
-                eq_cols.append(fvar(di, a))
-                eq_vals.append(-1.0)
-            dem = demand_to[d].get(v, 0.0)
-            if dem:
-                eq_rows.append(row)
-                eq_cols.append(t_var)
-                eq_vals.append(-dem)
-            row += 1
-    a_eq = sp.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(row, num_vars))
-    b_eq = np.zeros(row)
-
-    # Inequality: per-arc capacity, sum over destinations.
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_vals: List[float] = []
-    for a in range(num_arcs):
-        for di in range(num_dests):
-            ub_rows.append(a)
-            ub_cols.append(fvar(di, a))
-            ub_vals.append(1.0)
-    a_ub = sp.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(num_arcs, num_vars))
-    return a_eq, b_eq, a_ub
 
 
 def _assemble_exact_vectorized(

@@ -122,7 +122,9 @@ def test_solver_parameters_are_validated_and_kept(client):
     tuned = client.throughput(XPANDER, solver="highs-colgen:k=1", fractions=[0.5])
     assert tuned.warm["context"] == "miss"
     contexts = client.context().caches["solver_contexts"]["contexts"]
-    assert sorted(c["k"] for c in contexts if c["kind"] == "colgen") == [1, 2]
+    colgen = [c for c in contexts if c["kind"] == "colgen"]
+    assert sorted(c["k"] for c in colgen) == [1, 2]
+    assert all(c["pool_columns"] >= c["pool_pairs"] > 0 for c in colgen)
 
 
 def test_throughput_non_context_solver(client):

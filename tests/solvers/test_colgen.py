@@ -6,8 +6,9 @@ and multi-point load grids, the colgen optimum must match ``highs-exact``
 when LP duality certifies that no path anywhere in the graph can improve
 the restricted master, so the result is the exact optimum, not a bound.
 Plus the warm-pool contract: the persistent path pool warm-starts repeat
-solves (``warm_started`` flips once every demand pair is covered), never
-survives a topology change, and is bypassed entirely by ``warm=False``.
+solves (``warm_started`` flips once every demand pair is covered), keeps
+only each pair's support at its last optimum, never survives a topology
+change, and is bypassed entirely by ``warm=False``.
 """
 
 import random
@@ -27,7 +28,7 @@ from repro.throughput import (
     max_concurrent_throughput,
     skew_sweep,
 )
-from repro.throughput.colgen import path_colgen_throughput
+from repro.throughput.colgen import colgen_solve, path_colgen_throughput
 from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
 
@@ -124,7 +125,7 @@ def test_link_utilization_is_feasible_and_tight():
 
 def test_varying_support_matches_exact():
     """Skew-style sweeps change the demand support; repeats of a support
-    warm-start off the accumulated pool while staying exact."""
+    warm-start off the stored pool while staying exact."""
     topo = jellyfish(12, 4, 2, seed=3)
     fractions = [0.4, 0.7, 1.0, 0.4, 0.7, 1.0]
     tms = [longest_matching_tm(topo, f, seed=1) for f in fractions]
@@ -132,8 +133,8 @@ def test_varying_support_matches_exact():
     for tm, outcome in zip(tms, outcomes):
         exact = max_concurrent_throughput(topo, tm)
         assert abs(outcome.result.throughput - exact.throughput) <= 1e-9
-    # The pool accumulates per (src, dst) pair, so once a support's
-    # pairs have all been seen the solve starts warm.
+    # The pool is kept per (src, dst) pair, so once a support's pairs
+    # have all been seen the solve starts warm.
     assert outcomes[0].warm_started is False
     assert [o.warm_started for o in outcomes[3:]] == [True, True, True]
 
@@ -206,6 +207,7 @@ def test_warm_start_counters_and_context_stats():
     assert ctx["solves"] == 3
     assert ctx["warm_solves"] == 2
     assert ctx["pool_pairs"] == base.num_flows
+    assert ctx["pool_pairs"] <= ctx["pool_columns"] <= 8 * ctx["pool_pairs"]
     assert ctx["pricing_rounds"] >= 3
     # A second solve_many on the same topology reuses the live context.
     backend.solve_many(topo, [base])
@@ -268,3 +270,54 @@ def test_core_engine_matches_fallback_engine():
     fallback = HighsColgenBackend(mode="fallback").solve(topo, tm)
     assert abs(core.result.throughput - fallback.result.throughput) <= 1e-9
     assert core.result.iterations > 0
+
+
+class _NoPaths:
+    """A path cache that offers no k-shortest seeds: a master built
+    with it holds only the columns passed in through ``pool_store``."""
+
+    def k_shortest_paths(self, src, dst, k):
+        return []
+
+
+def test_warm_pool_keeps_only_the_optimum_support():
+    """Many fresh-seed solves on one warm context (the ``/v1`` service's
+    pattern): every answer stays exact, covered TMs start warm, and the
+    stored pool holds each solved pair's optimal support — enough on its
+    own to reach the optimum, never more columns than a basic optimum
+    has — so it stays small instead of growing with every solve."""
+    topo = registry.topology("jellyfish:switches=16,degree=4,servers=3,seed=1")
+    context = ColgenTopologyContext(topo)
+    table = context.table
+    warm = []
+    for seed in range(100):
+        for fraction in (0.5, 1.0):
+            tm = longest_matching_tm(topo, fraction, seed=seed)
+            flags = {}
+            result = context.solve(tm, flags=flags)
+            warm.append(flags["warm_started"])
+            exact = max_concurrent_throughput(topo, tm)
+            assert abs(result.throughput - exact.throughput) <= 1e-9
+
+            pairs = [pair for pair, _ in tm.items()]
+            stored = {pair: context._pool[pair] for pair in pairs}
+            assert all(stored.values())
+            for (s, d), cols in stored.items():
+                for col in cols:
+                    assert table.arcs[col[0]][0] == s
+                    assert table.arcs[col[-1]][1] == d
+            # A basic optimum has at most one positive column per row.
+            assert sum(map(len, stored.values())) <= len(pairs) + table.num_arcs
+            # The stored support alone (no seeds, no pricing) attains t.
+            support, _ = colgen_solve(
+                table, _NoPaths(), tm, phases=0, max_rounds=0,
+                pool_store=dict(stored),
+            )
+            assert abs(support.throughput - result.throughput) <= 1e-9
+    assert warm[0] is False
+    assert sum(warm[100:]) >= 80
+    stats = context.stats()
+    assert stats["pool_columns"] == sum(map(len, context._pool.values()))
+    # Writing back every pooled column (capped at 64 per pair) left
+    # 4,524 columns here after 400 solves; the supports stay far below.
+    assert stats["pool_columns"] <= 8 * stats["pool_pairs"]

@@ -1,9 +1,11 @@
-"""Concurrent solves on one warm edge-LP context.
+"""Concurrent solves on one warm edge-LP or colgen context.
 
 HiGHS releases the GIL, so two requests solving on one context should
 run in parallel: the context's lock covers only its structure LRU, and
 a structure is checked out for the duration of its solve.  Per-solve
-flags travel with each solve, never through shared context state.
+flags travel with each solve, never through shared context state.  A
+colgen context's warm solves serialize on its path pool, and its
+counters, pool size included, lose no update.
 """
 
 import sys
@@ -12,7 +14,12 @@ import threading
 import pytest
 
 from repro.solvers import HighsIncrementalBackend
-from repro.throughput import EdgeLpContext, highs, max_concurrent_throughput
+from repro.throughput import (
+    ColgenTopologyContext,
+    EdgeLpContext,
+    highs,
+    max_concurrent_throughput,
+)
 from repro.topologies import jellyfish
 from repro.traffic import longest_matching_tm
 
@@ -172,3 +179,54 @@ def test_concurrent_basis_reuse_keeps_results_and_counts(topo):
     # optimum of its coefficients.
     assert stats["models_built"] + stats["results_reused"] == len(outcomes)
     assert stats["basis_reused"] == sum(o.basis_reused for _, o in outcomes)
+
+
+def test_concurrent_colgen_solves_keep_results_and_pool_counts(topo):
+    """More solving threads than cores on one colgen context, warm and
+    ``warm=False`` solves mixed, while another thread reads its stats:
+    every result stays within 1e-9 of ``highs-exact``, and the solve
+    count and ``pool_columns`` match what the solves left behind."""
+    context = ColgenTopologyContext(topo)
+    tms = [longest_matching_tm(topo, f, seed=s) for f in (0.5, 1.0)
+           for s in (1, 2)]
+    exact = [max_concurrent_throughput(topo, tm).throughput for tm in tms]
+    threads_n, rounds = 4, 4
+    outcomes = []
+    lock = threading.Lock()
+    done = threading.Event()
+
+    def work(i):
+        for j in range(rounds):
+            k = (i + j) % len(tms)
+            result = context.solve(tms[k], warm=(i + j) % 3 != 0)
+            with lock:
+                outcomes.append((k, result))
+
+    def read_stats():
+        while not done.is_set():
+            context.stats()
+
+    threads, errors = _run_threads(
+        [(f"solve-{i}", lambda i=i: work(i)) for i in range(threads_n)]
+    )
+    reader, reader_errors = _run_threads([("stats", read_stats)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reader[0].start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        done.set()
+        reader[0].join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + reader)
+    assert not errors and not reader_errors, errors + reader_errors
+    assert len(outcomes) == threads_n * rounds
+    for k, result in outcomes:
+        assert abs(result.throughput - exact[k]) <= 1e-9
+    stats = context.stats()
+    assert stats["solves"] == len(outcomes)
+    assert stats["pool_columns"] == sum(map(len, context._pool.values()))

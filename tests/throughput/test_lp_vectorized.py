@@ -10,12 +10,13 @@ from repro.perf import PathCache, clear_shared_caches
 from repro.throughput import max_concurrent_throughput, path_throughput
 from repro.throughput.arcs import ArcTable
 from repro.throughput.lp import (
-    _assemble_exact_reference,
     _assemble_exact_vectorized,
     _demands_by_destination,
 )
 from repro.topologies import Topology, jellyfish
 from repro.traffic import TrafficMatrix, permutation_tm
+
+from .lp_reference import assemble_exact_reference
 
 
 def random_topology(rng, n=None):
@@ -48,7 +49,7 @@ class TestExactAssemblyEquivalence:
         table = ArcTable.from_topology(topo)
         dests, demand_to = _demands_by_destination(tm)
 
-        a_eq_r, b_eq_r, a_ub_r = _assemble_exact_reference(table, dests, demand_to)
+        a_eq_r, b_eq_r, a_ub_r = assemble_exact_reference(table, dests, demand_to)
         a_eq_v, b_eq_v, a_ub_v = _assemble_exact_vectorized(table, dests, demand_to)
 
         # Canonical CSR comparison: structure AND values must agree
