@@ -37,7 +37,8 @@ any engine shows up as a trajectory diff in the committed JSON.
 Set ``REPRO_PERF_QUICK=1`` for a reduced ladder (the CI ``scale-smoke``
 job, which also asserts the quick-ladder floors below); the committed
 ``BENCH_scale.json`` comes from a full run (a quick run writes to
-``bench_out.bench_path``, outside the repository).
+``bench_out.bench_path``, outside the repository).  The top-level
+``library_versions`` map names the version that produced each stage.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.ioutils import atomic_write_json
 from repro.perf import PathCache
 from repro.topologies import jellyfish, xpander
 from repro.traffic import longest_matching_tm
+from repro.version import __version__
 
 BENCH_PATH = bench_path("BENCH_scale.json")
 
@@ -194,6 +196,9 @@ def _climb(cap: int, budget_s: float, trial):
 
 
 def _write_results() -> None:
+    """Merge this run's stages into the BENCH file and record, under
+    ``library_versions``, the version that produced each stage it wrote;
+    stages not run keep their values and their entry there."""
     path = BENCH_PATH
     payload = {}
     if os.path.exists(path):
@@ -202,6 +207,9 @@ def _write_results() -> None:
     payload["schema"] = "repro.scale/2"
     payload["quick"] = QUICK
     payload.update(_RESULTS)
+    versions = payload.setdefault("library_versions", {})
+    for stage in _RESULTS:
+        versions[stage] = __version__
     atomic_write_json(path, payload, sort_keys=True)
 
 
@@ -248,7 +256,7 @@ def test_scale_generation():
 def test_scale_chunked_bfs():
     def bfs(switches: int):
         topo = jellyfish(switches, _degree(switches), SERVERS, seed=1)
-        adjacency = PathCache(topo.graph)._adjacency
+        adjacency = PathCache(topo.graph)._csr_adjacency()
         n = adjacency.shape[0]
         t0 = time.perf_counter()
         total = 0.0

@@ -122,28 +122,13 @@ class PathCache:
         self.graph = graph
         self.nodes: List[int] = sorted(graph.nodes())
         self.node_index: Dict[int, int] = {v: i for i, v in enumerate(self.nodes)}
-        self.content_hash = topology_content_hash(graph)
+        # The content hash and the CSR adjacency are built on first use:
+        # a cache that only serves k-shortest paths never needs either.
+        self._content_hash: Optional[str] = None
         self.persist_dir = persist_dir
-
-        tails: List[int] = []
-        heads: List[int] = []
-        for u, v in graph.edges():
-            ui, vi = self.node_index[u], self.node_index[v]
-            tails.append(ui)
-            heads.append(vi)
-            tails.append(vi)
-            heads.append(ui)
-        tails_arr = np.asarray(tails, dtype=np.intp)
-        heads_arr = np.asarray(heads, dtype=np.intp)
-        # Arcs sorted by (tail, head) so per-tail next-hop lists come out
-        # sorted — matching the reference tables' determinism contract.
-        order = np.lexsort((heads_arr, tails_arr))
-        self._arc_tails = tails_arr[order]
-        self._arc_heads = heads_arr[order]
-        n = len(self.nodes)
-        self._adjacency = sp.csr_matrix(
-            (np.ones(len(tails_arr)), (tails_arr, heads_arr)), shape=(n, n)
-        )
+        self._adjacency: Optional[sp.csr_matrix] = None
+        self._arc_tails: Optional[np.ndarray] = None
+        self._arc_heads: Optional[np.ndarray] = None
 
         self._dist: Optional[np.ndarray] = None
         self._tables: Optional[Dict[int, Dict[int, List[int]]]] = None
@@ -155,6 +140,41 @@ class PathCache:
         self._lock = threading.RLock()
         if persist_dir is not None:
             self._load_persisted()
+
+    @property
+    def content_hash(self) -> str:
+        """:func:`topology_content_hash` of the graph (names the
+        persistence files)."""
+        if self._content_hash is None:
+            self._content_hash = topology_content_hash(self.graph)
+        return self._content_hash
+
+    def _csr_adjacency(self) -> sp.csr_matrix:
+        """The symmetric CSR adjacency, built on first use together with
+        the arc arrays of :meth:`ecmp_next_hops`."""
+        with self._lock:
+            if self._adjacency is None:
+                index = self.node_index
+                tails: List[int] = []
+                heads: List[int] = []
+                for u, v in self.graph.edges():
+                    ui, vi = index[u], index[v]
+                    tails += (ui, vi)
+                    heads += (vi, ui)
+                tails_arr = np.asarray(tails, dtype=np.intp)
+                heads_arr = np.asarray(heads, dtype=np.intp)
+                # Arcs sorted by (tail, head) so per-tail next-hop lists
+                # come out sorted — matching the reference tables'
+                # determinism contract.
+                order = np.lexsort((heads_arr, tails_arr))
+                self._arc_tails = tails_arr[order]
+                self._arc_heads = heads_arr[order]
+                n = len(self.nodes)
+                self._adjacency = sp.csr_matrix(
+                    (np.ones(len(tails_arr)), (tails_arr, heads_arr)),
+                    shape=(n, n),
+                )
+            return self._adjacency
 
     # ------------------------------------------------------------------
     # Distances
@@ -174,7 +194,7 @@ class PathCache:
                 obs.add("pathcache.misses")
                 with obs.span("pathcache.distances", nodes=self.num_nodes):
                     self._dist = csgraph.shortest_path(
-                        self._adjacency, method="D", directed=False,
+                        self._csr_adjacency(), method="D", directed=False,
                         unweighted=True,
                     )
                 if self.persist_dir is not None:
@@ -210,7 +230,7 @@ class PathCache:
             sources=int(idx.size),
         ):
             return csgraph.shortest_path(
-                self._adjacency, method="D", directed=False,
+                self._csr_adjacency(), method="D", directed=False,
                 unweighted=True, indices=idx,
             )
 
@@ -263,6 +283,7 @@ class PathCache:
         (sorted next hops; empty list at the destination and at switches
         that cannot reach it), derived from the cached distance matrix.
         """
+        self._csr_adjacency()  # the sorted arc arrays
         dist_d = self.distances()[:, self.node_index[dst]]
         tail_dist = dist_d[self._arc_tails]
         ok = np.isfinite(tail_dist) & (dist_d[self._arc_heads] == tail_dist - 1.0)
@@ -378,8 +399,8 @@ class PathCache:
 # In-process shared registry
 # ----------------------------------------------------------------------
 _REGISTRY_MAX = 16
-# PathCache construction builds only the CSR adjacency (the expensive
-# structures stay lazy), so a raced double-build is cheap, and the LRU
+# PathCache construction builds nothing but the node index (every
+# structure stays lazy), so a raced double-build is cheap, and the LRU
 # keeps the first-inserted instance for every caller.
 _REGISTRY = Lru(_REGISTRY_MAX, "pathcache.shared")
 

@@ -30,7 +30,9 @@ class ArcTable:
     arcs:
         Directed arcs ``(u, v)`` — both orientations of every cable, in
         graph edge order (the order every solver in this package has
-        always used, so constraint matrices are reproducible).
+        always used, so constraint matrices are reproducible): cable
+        ``e`` is arcs ``2e`` and ``2e + 1``, which the mirror-folded
+        edge LP shares one capacity row between.
     caps:
         Per-arc capacities (same order as ``arcs``).
     index:

@@ -10,7 +10,9 @@ and the two ways a model is solved:
   once, drops it and returns the solution plus the final simplex basis.
   Without a starting basis it is a cold solve: what ``linprog`` would
   return, byte for byte, without ``linprog``'s input conversion and
-  result copying.  Given the basis of an earlier optimum of the same
+  result copying, on whatever rows it is given (the edge LP of a
+  symmetric TM hands it the mirror-folded LP, with one capacity row
+  per cable).  Given the basis of an earlier optimum of the same
   rows and columns (the edge LP's opt-in basis reuse,
   :class:`~repro.throughput.lp.EdgeLpContext` with
   ``reuse_basis=True``), it starts the dual simplex there instead.  On
@@ -92,7 +94,8 @@ def row_bounds(
     """``(row_lower, row_upper)`` of the max-concurrent-flow shape.
 
     ``num_eq`` equality rows at zero (conservation or demand rows) and
-    one ``row <= cap`` row per arc.  Colgen's live model puts the
+    one ``row <= cap`` row per entry of ``caps``: per arc, or per cable
+    in the edge LP's mirror-folded form.  Colgen's live model puts the
     equalities first (``eq_first=True``); ``linprog`` stacks the
     capacities first, and :func:`solve` follows it.
     """
@@ -245,8 +248,9 @@ def solve(
     """One solve of ``min cost . x`` over ``x >= 0`` on a fresh model.
 
     ``matrix`` is a scipy CSC matrix whose first ``caps.size`` rows are
-    arc capacities (``row <= caps``) and whose remaining rows are
-    equalities to zero: ``linprog``'s ``[A_ub; A_eq]`` stack.  Without
+    capacities (``row <= caps``; one per arc, or one per cable for the
+    mirror-folded edge LP of a symmetric TM) and whose remaining rows
+    are equalities to zero: ``linprog``'s ``[A_ub; A_eq]`` stack.  Without
     a ``basis`` the model gets ``linprog``'s bounds and options
     (presolve on, dual simplex), so ``x`` and the iteration count are
     byte-identical to ``linprog`` on the same rows.  With the basis of

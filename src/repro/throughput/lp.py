@@ -9,7 +9,10 @@ classic *maximum concurrent flow* problem.  Two formulations are provided:
   edge-flow LP.  Commodities are grouped by destination, so the variable
   count is ``(#destinations) x (#arcs)`` rather than
   ``(#pairs) x (#arcs)``; optimal value is unchanged (flows to the same
-  destination can always be merged).  :class:`EdgeLpContext` is the one
+  destination can always be merged).  A symmetric TM (every demand
+  ``s -> d`` equal to ``d -> s``) solves the mirror-folded half of the
+  LP: only the pairs ``s < d``, with one capacity row per cable
+  (see :class:`EdgeLpContext`).  :class:`EdgeLpContext` is the one
   implementation: a per-topology context that also caches assembled
   LPs and their last optima across solves (and, with opt-in basis
   reuse, each one's last optimal simplex basis); the function is a
@@ -146,13 +149,26 @@ def _drop_disconnected_demands(
     return _drop_by_labels(tm, _component_labels(topology.graph))
 
 
+def _is_symmetric(tm: TrafficMatrix) -> bool:
+    """Whether every demand ``s -> d`` equals its mirror ``d -> s``."""
+    demands = tm.demands
+    return all(demands.get((d, s)) == val for (s, d), val in demands.items())
+
+
 def _demands_by_destination(
-    tm: TrafficMatrix,
+    tm: TrafficMatrix, fold: bool = False
 ) -> Tuple[List[int], Dict[int, Dict[int, float]]]:
-    """Destination-aggregated demands: ``demand_to[d][v]`` = v's demand to d."""
-    dests = sorted({d for (_, d) in tm.demands})
+    """Destination-aggregated demands: ``demand_to[d][v]`` = v's demand to d.
+
+    With ``fold`` only the pairs ``v < d`` are kept: the half of a
+    symmetric TM that the mirror-folded LP routes.
+    """
+    pairs = [
+        (s, d, val) for (s, d), val in tm.demands.items() if not fold or s < d
+    ]
+    dests = sorted({d for (_, d, _) in pairs})
     demand_to: Dict[int, Dict[int, float]] = {d: {} for d in dests}
-    for (s, d), val in tm.demands.items():
+    for s, d, val in pairs:
         demand_to[d][s] = demand_to[d].get(s, 0.0) + val
     return dests, demand_to
 
@@ -161,6 +177,7 @@ def _assemble_exact_vectorized(
     table: ArcTable,
     dests: List[int],
     demand_to: Dict[int, Dict[int, float]],
+    fold: bool = False,
 ) -> Tuple[sp.csr_matrix, np.ndarray, sp.csr_matrix]:
     """Vectorized assembly of the exact LP's constraint matrices.
 
@@ -170,6 +187,11 @@ def _assemble_exact_vectorized(
     squeezed out, and every arc contributes +1 at its tail row and -1
     at its head row.  Canonical CSR output is identical to the
     reference loops (duplicate-free coordinates, same coefficients).
+
+    The capacity block has one row per arc, or with ``fold`` one row
+    per cable: row ``e`` sums both orientations (arcs ``2e`` and
+    ``2e + 1``) of every commodity, since a mirrored commodity loads
+    each orientation with what the kept one carries on the other.
     """
     n = table.num_nodes
     m = table.num_arcs
@@ -225,9 +247,12 @@ def _assemble_exact_vectorized(
     b_eq = np.zeros(num_rows)
 
     ub_rows = np.tile(np.arange(m, dtype=np.intp), num_dests)
+    if fold:
+        ub_rows //= 2
     ub_cols = col_base.ravel()
     a_ub = sp.csr_matrix(
-        (np.ones(ub_rows.size), (ub_rows, ub_cols)), shape=(m, num_vars)
+        (np.ones(ub_rows.size), (ub_rows, ub_cols)),
+        shape=(m // 2 if fold else m, num_vars),
     )
     return a_eq, b_eq, a_ub
 
@@ -246,12 +271,19 @@ def _exact_result(
     per_server_demand: float,
     dropped: int,
     iterations: int,
+    fold: bool,
 ) -> ThroughputResult:
-    """Extract ``t`` and per-arc utilization from an exact-LP solution."""
+    """Extract ``t`` and per-arc utilization from an exact-LP solution.
+
+    A folded solution loads each arc with its cable's flow in both
+    directions: the load of the mirror-symmetric full optimum.
+    """
     num_arcs = table.num_arcs
     t = float(x[num_dests * num_arcs])
     utilization: Dict[Tuple[int, int], float] = {}
     flows = x[: num_dests * num_arcs].reshape(num_dests, num_arcs).sum(axis=0)
+    if fold:
+        flows = np.repeat(flows[0::2] + flows[1::2], 2)
     caps = table.caps
     for a, (u, v) in enumerate(table.arcs):
         utilization[(u, v)] = float(flows[a] / caps[a]) if caps[a] else 0.0
@@ -269,9 +301,10 @@ DEFAULT_MAX_STRUCTURES = 32
 
 
 def _structure_key(
-    dests: List[int], demand_to: Dict[int, Dict[int, float]]
-) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
-    """The demand-structure identity: destination set + nonzero support.
+    dests: List[int], demand_to: Dict[int, Dict[int, float]], fold: bool
+) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], bool]:
+    """The demand-structure identity: destination set, nonzero support
+    and whether the LP is folded.
 
     Zero-valued demands are excluded exactly as assembly excludes them,
     so a TM whose entry drops to zero keys a different (correct)
@@ -285,7 +318,7 @@ def _structure_key(
             if dem
         )
     )
-    return tuple(dests), support
+    return tuple(dests), support, fold
 
 
 @dataclass
@@ -293,6 +326,8 @@ class _LpStructure:
     """One fully assembled exact LP, ready for coefficient patching."""
 
     num_dests: int
+    #: Mirror-folded: one capacity row per cable, ``s < d`` pairs only.
+    fold: bool
     #: ``[capacities; equalities]``, the row layout of
     #: :func:`~repro.throughput.highs.solve`; demand coefficients are
     #: patched in place between solves.
@@ -341,6 +376,20 @@ class EdgeLpContext:
     of its solve, so a concurrent solve over the same support assembles
     its own, and HiGHS (which releases the GIL) runs the two in
     parallel.
+
+    **Symmetric TMs are folded.**  Every cable has one capacity for both
+    directions, so when each routable demand ``s -> d`` equals its
+    mirror ``d -> s`` the LP has a mirror-symmetric optimum: reverse
+    every commodity and every arc of an optimum and average the two.
+    Such a TM solves only the pairs ``s < d`` (aggregated by
+    destination as usual) under one capacity row per cable, whose
+    columns are both orientations, arcs ``2e`` and ``2e + 1``, of every
+    kept commodity; it has the full LP's ``t`` at about half the
+    columns and rows.  Each arc's ``link_utilization`` is then its
+    cable's load in both directions, the load of the symmetric full
+    optimum.  Any other TM solves the full LP.  The fold is part of the
+    structure key, so stored optima and bases never cross between the
+    two forms.
     """
 
     kind = "edge-lp"
@@ -406,8 +455,9 @@ class EdgeLpContext:
             )
 
         obs.add("lp.calls")
-        dests, demand_to = _demands_by_destination(tm)
-        key = _structure_key(dests, demand_to)
+        fold = _is_symmetric(tm)
+        dests, demand_to = _demands_by_destination(tm, fold)
+        key = _structure_key(dests, demand_to, fold)
         structure = self._structures.pop(key) if warm else None
         warm_started = structure is not None
         with self._lock:
@@ -416,7 +466,7 @@ class EdgeLpContext:
             else:
                 self.cold_solves += 1
         if structure is None:
-            structure = self._build_structure(dests, demand_to, key[1])
+            structure = self._build_structure(dests, demand_to, key[1], fold)
         else:
             self._patch_values(
                 structure,
@@ -446,7 +496,7 @@ class EdgeLpContext:
                 self._structures.put(key, structure)
         return _exact_result(
             self.table, x, structure.num_dests, per_server_demand,
-            dropped, iterations,
+            dropped, iterations, structure.fold,
         )
 
     # ------------------------------------------------------------------
@@ -455,19 +505,20 @@ class EdgeLpContext:
         dests: List[int],
         demand_to: Dict[int, Dict[int, float]],
         support: Tuple[Tuple[int, int], ...],
+        fold: bool,
     ) -> _LpStructure:
         table = self.table
         num_dests = len(dests)
         n = table.num_nodes
-        m = table.num_arcs
-        t_var = num_dests * m
+        t_var = num_dests * table.num_arcs
         with obs.span(
             "lp.assemble", formulation="exact", demands=len(support)
         ):
             a_eq, _b_eq, a_ub = _assemble_exact_vectorized(
-                table, dests, demand_to
+                table, dests, demand_to, fold
             )
             matrix = sp.vstack([a_ub, a_eq], format="csc")
+        m = a_ub.shape[0]  # capacity rows come first
         # t is the last column; its entries are the demand rows, sorted.
         first = matrix.indptr[t_var]
         t_rows = matrix.indices[first:matrix.indptr[t_var + 1]]
@@ -485,6 +536,7 @@ class EdgeLpContext:
         slots = first + np.searchsorted(t_rows, rows)
         return _LpStructure(
             num_dests=num_dests,
+            fold=fold,
             matrix=matrix,
             demand_slots=slots,
             values=-matrix.data[slots],
@@ -541,6 +593,7 @@ class EdgeLpContext:
         flags: Optional[Dict[str, Any]],
     ) -> highs.Solution:
         matrix = structure.matrix
+        caps = self.table.caps[0::2] if structure.fold else self.table.caps
         with self._lock:
             self.models_built += 1
         if flags is not None:
@@ -552,7 +605,7 @@ class EdgeLpContext:
             return highs.solve(
                 _c_for_exact(matrix.shape[1]),
                 matrix,
-                self.table.caps,
+                caps,
                 formulation="exact",
                 context=context,
                 basis=basis,
@@ -615,8 +668,10 @@ def max_concurrent_throughput(
     Destination-aggregated arc-flow LP: variables ``f[d, a]`` (flow bound
     for destination ToR ``d`` on arc ``a``) plus the concurrency ``t``;
     conservation at every node except the destination; arc capacity sums
-    over destinations.  A one-shot :class:`EdgeLpContext` solve: one
-    cold HiGHS solve on freshly assembled matrices, nothing cached.
+    over destinations; a symmetric TM solves the mirror-folded half
+    (see :class:`EdgeLpContext`).  A one-shot :class:`EdgeLpContext`
+    solve: one cold HiGHS solve on freshly assembled matrices, nothing
+    cached.
 
     Degenerate cases are conventions, not errors: an empty TM returns
     ``(inf, 1.0)``; a TM whose demands are all disconnected returns

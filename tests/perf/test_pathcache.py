@@ -182,6 +182,27 @@ class TestSharedRegistry:
             shared_path_cache(nx.cycle_graph(n))
         assert shared_cache_stats()["entries"] == _REGISTRY_MAX
 
+    def test_construction_is_lazy(self, monkeypatch):
+        """Construction hashes nothing and builds no adjacency; each is
+        built when a structure first needs it."""
+        from repro.perf import pathcache
+
+        real = pathcache.topology_content_hash
+        hashed = []
+
+        def counting(graph, **kwargs):
+            hashed.append(graph)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(pathcache, "topology_content_hash", counting)
+        g = jellyfish(num_switches=10, network_ports=3, servers_per_switch=2, seed=4).graph
+        cache = PathCache(g)
+        assert cache.k_shortest_paths(0, 7, 3) == k_shortest_paths(g, 0, 7, 3)
+        assert hashed == [] and cache._adjacency is None
+        assert cache.content_hash == real(g) and len(hashed) == 1
+        assert cache.ecmp_next_hops(7) == ecmp_next_hops(g, 7)
+        assert cache._adjacency is not None
+
     def test_clear(self):
         shared_path_cache(nx.cycle_graph(5))
         assert clear_shared_caches() >= 1
@@ -200,6 +221,8 @@ class TestPersistence:
         # Distance matrix loaded from disk (no recompute needed).
         assert second._dist is not None
         np.testing.assert_array_equal(second.distances(), d1)
+        # ECMP tables over a loaded matrix still build their arcs.
+        assert second.ecmp_next_hops(7) == ecmp_next_hops(g, 7)
         assert (0, 7) in second._ksp
         assert second.k_shortest_paths(0, 7, 3) == first.k_shortest_paths(0, 7, 3)
 

@@ -30,6 +30,7 @@ from repro.solvers import (
 )
 from repro.throughput import EdgeLpContext, max_concurrent_throughput, skew_sweep
 from repro.throughput import highs
+from repro.throughput.lp import _is_symmetric
 from repro.topologies import jellyfish, xpander
 from repro.traffic import TrafficMatrix, longest_matching_tm
 
@@ -369,13 +370,34 @@ def _recording_x(monkeypatch):
     return calls
 
 
-def _uneven(tm, seed):
+def _uneven(tm, seed, mirrored=True):
     """``tm`` with each demand scaled by its own factor in [0.5, 2):
-    same support, different demand ratios."""
+    same support, different demand ratios.  With ``mirrored`` both
+    directions of a rack pair share one factor, so a symmetric TM stays
+    symmetric and keeps its mirror-folded LP structure; otherwise every
+    ordered pair draws its own."""
     rng = random.Random(seed)
-    return TrafficMatrix(
-        {pair: val * rng.uniform(0.5, 2.0) for pair, val in tm.demands.items()}
-    )
+    factors = {}
+    demands = {}
+    for (s, d), val in tm.demands.items():
+        pair = (min(s, d), max(s, d)) if mirrored else (s, d)
+        if pair not in factors:
+            factors[pair] = rng.uniform(0.5, 2.0)
+        demands[(s, d)] = val * factors[pair]
+    return TrafficMatrix(demands)
+
+
+def _by_symmetry(instances):
+    """Every instance on a symmetric TM (bare ids) and on an asymmetric
+    one (``asymmetric-`` ids): the folded and the unfolded LP."""
+    return [
+        pytest.param(
+            mirrored, *inst.values,
+            id=inst.id if mirrored else f"asymmetric-{inst.id}",
+        )
+        for mirrored in (True, False)
+        for inst in instances
+    ]
 
 
 @pytest.mark.parametrize("mode", ["fallback", "core"])
@@ -411,14 +433,19 @@ def test_unchanged_coefficients_return_the_stored_optimum(monkeypatch, mode):
 
 
 @needs_core
-@pytest.mark.parametrize("build", INSTANCES)
-def test_core_reuses_basis_on_uneven_rescale(monkeypatch, build):
+@pytest.mark.parametrize("mirrored, build", _by_symmetry(INSTANCES))
+def test_core_reuses_basis_on_uneven_rescale(monkeypatch, mirrored, build):
     """``mode=core``: a structure's first solve is ``highs-exact`` byte
     for byte, and a re-solve of unevenly rescaled demands starts from
-    the stored basis and lands within 1e-9 of ``highs-exact``."""
+    the stored basis and lands within 1e-9 of ``highs-exact``, on the
+    folded LP of a symmetric TM and on the full LP of an asymmetric
+    one."""
     topo = build()
     base = longest_matching_tm(topo, 1.0, seed=1)
-    tms = [base, _uneven(base, 1), _uneven(base, 2)]
+    if not mirrored:
+        base = _uneven(base, 0, mirrored=False)
+    tms = [base] + [_uneven(base, s, mirrored) for s in (1, 2)]
+    assert all(_is_symmetric(tm) is mirrored for tm in tms)
     calls = _recording_x(monkeypatch)
     outcomes = HighsIncrementalBackend(mode="core").solve_many(topo, tms)
     solved = list(calls)

@@ -1,4 +1,4 @@
-"""Test-only reference for the exact LP's constraint assembly.
+"""Test-only references for the exact LP.
 
 :mod:`repro.throughput.lp` builds the destination-aggregated edge LP's
 conservation and capacity blocks from numpy coordinate arrays
@@ -6,16 +6,53 @@ conservation and capacity blocks from numpy coordinate arrays
 node) loop assembly it replaced, so tests can assert that both produce
 identical canonical CSR matrices and the kernel bench can time one
 against the other.
+
+It also keeps the unfolded solve, :func:`unfolded_exact`: every ordered
+pair routed, one capacity row per arc, whatever the TM's symmetry.  The
+library folds a symmetric TM's LP onto one orientation per rack pair;
+this is the oracle that folded solve is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.throughput import highs
 from repro.throughput.arcs import ArcTable
+from repro.throughput.lp import (
+    _assemble_exact_vectorized,
+    _c_for_exact,
+    _demands_by_destination,
+)
+
+
+class UnfoldedSolution(NamedTuple):
+    """The unfolded exact LP's optimum: ``t``, the solution vector and
+    the iterations HiGHS spent."""
+
+    throughput: float
+    x: np.ndarray
+    iterations: int
+
+
+def unfolded_exact(topology, tm) -> UnfoldedSolution:
+    """One cold solve of the exact LP over all ordered pairs of ``tm``
+    (assumed connected), with one capacity row per directed arc."""
+    table = ArcTable.from_topology(topology)
+    dests, demand_to = _demands_by_destination(tm)
+    a_eq, _b_eq, a_ub = _assemble_exact_vectorized(table, dests, demand_to)
+    matrix = sp.vstack([a_ub, a_eq], format="csc")
+    solution = highs.solve(
+        _c_for_exact(matrix.shape[1]), matrix, table.caps,
+        formulation="exact",
+    )
+    x = solution.x
+    return UnfoldedSolution(
+        float(x[len(dests) * table.num_arcs]), x, solution.iterations
+    )
 
 
 def assemble_exact_reference(

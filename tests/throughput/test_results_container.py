@@ -38,8 +38,9 @@ class TestSolverConsistency:
         exact = max_concurrent_throughput(topo, tm).throughput
         pathed = path_throughput(topo, tm, k=12).throughput
         fptas = approx_concurrent_throughput(topo, tm, epsilon=0.05).throughput
-        assert pathed >= 0.8 * exact
-        assert fptas >= 0.8 * exact
+        # paths/exact is exactly 0.8 here: allow test_ordering's slack.
+        assert pathed >= 0.8 * exact - 1e-6
+        assert fptas >= 0.8 * exact - 1e-6
 
     def test_scaling_invariance(self, scenario):
         """Doubling all demands halves the concurrent fraction."""
